@@ -131,12 +131,7 @@ fn iters_for(n: usize) -> usize {
         1025..=8192 => 20_000,
         _ => 2_000,
     };
-    let fast = std::env::var("SKYLOFT_FAST")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&f| f > 1)
-        .unwrap_or(1);
-    (base / fast).max(100)
+    (base / skyloft_bench::fast_factor().unwrap_or(1) as usize).max(100)
 }
 
 /// Measures one policy at one population: enqueue all `n` tasks, run the

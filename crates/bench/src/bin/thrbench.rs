@@ -35,13 +35,7 @@ fn hw_threads() -> usize {
 /// Iteration counts divided by `SKYLOFT_FAST` (the throughput *rate* is
 /// what is recorded, so shorter runs measure the same quantity).
 fn scaled_iters(n: u64) -> u64 {
-    match std::env::var("SKYLOFT_FAST")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        Some(f) if f > 1 => (n / f).max(1_000),
-        _ => n,
-    }
+    skyloft_bench::fast_factor().map_or(n, |f| (n / f).max(1_000))
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 //! Each table/figure of the paper has a binary in `src/bin/` (see
 //! DESIGN.md §5 for the index); run them with
 //! `cargo run --release -p skyloft-bench --bin <id>`. Results are printed
-//! as text tables and appended as CSV under `results/`.
+//! as text tables and written as CSV under `results/` (canonical runs
+//! only; see [`out::emit`]).
 
 pub mod baseline;
 pub mod build;
@@ -60,16 +61,19 @@ pub fn positional_args() -> Vec<String> {
     out
 }
 
-/// Scales a duration down by `SKYLOFT_FAST` (e.g. `SKYLOFT_FAST=10` runs
-/// ten times shorter windows) — used to smoke-test the figure binaries.
-pub fn scaled(d: Nanos) -> Nanos {
-    match std::env::var("SKYLOFT_FAST")
+/// The `SKYLOFT_FAST` shrink factor (e.g. `SKYLOFT_FAST=10` runs ten
+/// times shorter windows), when one above 1 is set — used to smoke-test
+/// the figure binaries.
+pub fn fast_factor() -> Option<u64> {
+    std::env::var("SKYLOFT_FAST")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
-    {
-        Some(f) if f > 1 => d / f,
-        _ => d,
-    }
+        .filter(|&f| f > 1)
+}
+
+/// Scales a duration down by [`fast_factor`].
+pub fn scaled(d: Nanos) -> Nanos {
+    fast_factor().map_or(d, |f| d / f)
 }
 
 /// Shared experiment constants (§5's setup).

@@ -1,22 +1,49 @@
-//! Output helpers: print a table and persist its CSV under `results/`.
+//! Output helpers: print a table and persist its CSV — under `results/`
+//! for canonical runs only.
 
 use std::fs;
 use std::path::PathBuf;
 
 use skyloft_metrics::{Series, Table};
 
-/// Directory where experiment CSVs are written.
+/// Directory where canonical experiment CSVs (the goldens) are written.
 pub fn results_dir() -> PathBuf {
     let root = std::env::var("SKYLOFT_RESULTS_DIR")
         .unwrap_or_else(|_| format!("{}/../../results", env!("CARGO_MANIFEST_DIR")));
     PathBuf::from(root)
 }
 
-/// Prints the table under a heading and writes `results/<id>.csv`.
+/// Whether a run with these arguments and [`crate::fast_factor`] is
+/// canonical: full windows (no `SKYLOFT_FAST`), the default seed (no
+/// `--seed`) and no `--smoke`. Only canonical runs reproduce the goldens.
+fn canonical(args: &[String], fast: Option<u64>) -> bool {
+    fast.is_none()
+        && !args
+            .iter()
+            .any(|a| a == "--smoke" || a == "--seed" || a.starts_with("--seed="))
+}
+
+/// Where [`emit`] writes: [`results_dir`] for canonical runs, else a
+/// scratch directory under `target/`, so a smoke or reseeded run can
+/// never overwrite a golden.
+fn csv_dir(canonical: bool) -> PathBuf {
+    if canonical {
+        results_dir()
+    } else {
+        PathBuf::from(format!(
+            "{}/../../target/results",
+            env!("CARGO_MANIFEST_DIR")
+        ))
+    }
+}
+
+/// Prints the table under a heading and writes `<id>.csv` (see
+/// [`csv_dir`] for where).
 pub fn emit(id: &str, heading: &str, table: &Table) {
     println!("== {heading} ==");
     println!("{}", table.render());
-    let dir = results_dir();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let dir = csv_dir(canonical(&args, crate::fast_factor()));
     if fs::create_dir_all(&dir).is_ok() {
         let path = dir.join(format!("{id}.csv"));
         if let Err(e) = fs::write(&path, table.to_csv()) {
@@ -61,6 +88,21 @@ pub fn figure_table(
 mod tests {
     use super::*;
     use skyloft_metrics::LoadPoint;
+
+    #[test]
+    fn only_canonical_runs_write_results() {
+        let args = |v: &[&str]| v.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert!(canonical(&args(&[]), None));
+        assert!(canonical(&args(&["--check", "--trace", "t.json"]), None));
+        assert!(!canonical(&args(&["--smoke"]), None));
+        assert!(!canonical(&args(&["--seed", "7"]), None));
+        assert!(!canonical(&args(&["--seed=7"]), None));
+        assert!(!canonical(&args(&[]), Some(10)));
+        assert_eq!(csv_dir(true), results_dir());
+        let scratch = csv_dir(false);
+        assert_ne!(scratch, results_dir());
+        assert!(scratch.ends_with("target/results"), "{}", scratch.display());
+    }
 
     #[test]
     fn figure_table_shapes() {

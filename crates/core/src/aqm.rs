@@ -12,45 +12,17 @@
 //! [`crate::machine::Machine::set_runqueue_aqm`] for the victim-selection
 //! rule); the condemned task is terminated, not run, at its next dequeue.
 //!
-//! The drop law is the same integer state machine as the RX-ring
-//! `Codel` in `skyloft-net` (Nichols & Jacobson, CACM 2012): quiescent
-//! below `target`; after sojourn stays above `target` for one full
-//! `interval` the controller enters the dropping state and fires at
-//! `interval/√count` spacing, resuming near the previous rate on quick
-//! re-entry. It is duplicated here rather than imported because
-//! `skyloft-net` deliberately depends only on `skyloft-sim`, so neither
-//! crate can reuse the other's copy of the law.
+//! The drop law is [`skyloft_sim::control::Codel`], the same state
+//! machine the RX rings run, judged here against a per-call target.
 //!
 //! Pure data structure: no RNG, no clock, driven with explicit `now`
 //! values, so it is deterministic and directly unit-testable.
 
+use skyloft_sim::control::{Codel, CodelConfig};
 use skyloft_sim::Nanos;
 
 use crate::conf::RunqueueAqmConfig;
 use crate::task::{AppId, TaskId};
-
-/// Per-app CoDel state (the same fields as the RX-ring controller).
-#[derive(Clone, Copy, Debug, Default)]
-struct CodelState {
-    /// Instant dropping may begin (first-above + interval), while the
-    /// sojourn is currently above target.
-    first_above: Option<Nanos>,
-    /// Whether the controller is in the dropping state.
-    dropping: bool,
-    /// Next scheduled drop while dropping.
-    drop_next: Nanos,
-    /// Drops in the current episode (sets the √count rate).
-    count: u32,
-    /// `count` when the last episode ended (quick re-entry refinement).
-    last_count: u32,
-}
-
-/// Per-scan record of an app's oldest queued task.
-#[derive(Clone, Copy, Debug)]
-struct Oldest {
-    task: TaskId,
-    since: Nanos,
-}
 
 /// The machine-side runqueue AQM: one CoDel controller per application,
 /// plus the per-poll scan scratch (oldest queued task per app).
@@ -58,11 +30,10 @@ struct Oldest {
 pub struct RunqueueAqm {
     cfg: RunqueueAqmConfig,
     /// Controllers, indexed by `AppId` (grown on demand).
-    apps: Vec<CodelState>,
-    /// Scan scratch: the oldest queued task seen for each app this poll.
-    oldest: Vec<Option<Oldest>>,
-    /// Tasks condemned so far.
-    condemned: u64,
+    apps: Vec<Codel>,
+    /// Scan scratch: the oldest queued task seen for each app this poll,
+    /// with its `runnable_since`.
+    oldest: Vec<Option<(TaskId, Nanos)>>,
 }
 
 impl RunqueueAqm {
@@ -72,7 +43,6 @@ impl RunqueueAqm {
             cfg,
             apps: Vec::new(),
             oldest: Vec::new(),
-            condemned: 0,
         }
     }
 
@@ -81,41 +51,26 @@ impl RunqueueAqm {
         self.cfg
     }
 
-    /// Tasks condemned so far.
-    pub fn condemned(&self) -> u64 {
-        self.condemned
-    }
-
-    /// Counts one condemned task (called by the machine when it marks a
-    /// victim).
-    pub fn note_condemned(&mut self) {
-        self.condemned += 1;
-    }
-
     /// Resets the scan scratch for a poll over `n_apps` applications.
     pub fn begin_scan(&mut self, n_apps: usize) {
         self.oldest.clear();
         self.oldest.resize(n_apps, None);
-        if self.apps.len() < n_apps {
-            self.apps.resize(n_apps, CodelState::default());
-        }
+        self.grow(n_apps);
     }
 
     /// Records one queued task in the scan: keeps the oldest
     /// (smallest `runnable_since`) per app.
     pub fn observe(&mut self, app: AppId, task: TaskId, since: Nanos) {
         let slot = &mut self.oldest[app];
-        if slot.is_none_or(|o| since < o.since) {
-            *slot = Some(Oldest { task, since });
+        if slot.is_none_or(|(_, s)| since < s) {
+            *slot = Some((task, since));
         }
     }
 
     /// The oldest queued task of `app` seen by the current scan, with its
     /// `runnable_since`. `None` when the app has nothing queued.
     pub fn app_oldest(&self, app: AppId) -> Option<(TaskId, Nanos)> {
-        self.oldest
-            .get(app)
-            .and_then(|o| o.map(|o| (o.task, o.since)))
+        self.oldest.get(app).copied().flatten()
     }
 
     /// Feeds `app`'s worst-sojourn sample into its controller. `target`
@@ -129,51 +84,20 @@ impl RunqueueAqm {
         sojourn: Nanos,
         target: Option<Nanos>,
     ) -> bool {
-        if self.apps.len() <= app {
-            self.apps.resize(app + 1, CodelState::default());
-        }
-        let target = target.unwrap_or(self.cfg.target);
-        let interval = self.cfg.interval;
-        let c = &mut self.apps[app];
-        if sojourn < target {
-            c.first_above = None;
-            c.dropping = false;
-            return false;
-        }
-        match c.first_above {
-            None => {
-                c.first_above = Some(now + interval);
-                false
-            }
-            Some(fa) if !c.dropping => {
-                if now < fa {
-                    return false;
-                }
-                c.dropping = true;
-                c.count = if c.last_count > 2 && now < c.drop_next + interval {
-                    c.last_count - 2
-                } else {
-                    1
-                };
-                c.drop_next = control_law(now, interval, c.count);
-                true
-            }
-            Some(_) => {
-                if now < c.drop_next {
-                    return false;
-                }
-                c.count += 1;
-                c.last_count = c.count;
-                c.drop_next = control_law(c.drop_next, interval, c.count);
-                true
-            }
+        self.grow(app + 1);
+        self.apps[app].on_sample(now, sojourn, target.unwrap_or(self.cfg.target))
+    }
+
+    /// Grows the controller table to cover `n_apps` applications.
+    fn grow(&mut self, n_apps: usize) {
+        if self.apps.len() < n_apps {
+            let law = CodelConfig {
+                target: self.cfg.target,
+                interval: self.cfg.interval,
+            };
+            self.apps.resize(n_apps, Codel::new(law));
         }
     }
-}
-
-/// `t + interval/√count`: the CoDel control law spacing successive drops.
-fn control_law(t: Nanos, interval: Nanos, count: u32) -> Nanos {
-    t + Nanos((interval.0 as f64 / (count.max(1) as f64).sqrt()) as u64)
 }
 
 #[cfg(test)]
@@ -191,23 +115,6 @@ mod tests {
 
     fn tid(idx: u32) -> TaskId {
         TaskId { idx, generation: 0 }
-    }
-
-    #[test]
-    fn below_target_never_fires() {
-        let mut a = RunqueueAqm::new(cfg());
-        for i in 0..10_000u64 {
-            assert!(!a.on_sample(0, Nanos(i * 100), Nanos::from_us(49), None));
-        }
-    }
-
-    #[test]
-    fn sustained_excess_fires_after_one_interval() {
-        let mut a = RunqueueAqm::new(cfg());
-        let sojourn = Nanos::from_us(200);
-        assert!(!a.on_sample(0, Nanos::ZERO, sojourn, None));
-        assert!(!a.on_sample(0, Nanos::from_us(499), sojourn, None));
-        assert!(a.on_sample(0, Nanos::from_us(500), sojourn, None));
     }
 
     #[test]
@@ -252,19 +159,5 @@ mod tests {
         assert_eq!(a.app_oldest(1), Some((tid(4), Nanos(50))));
         a.begin_scan(2);
         assert_eq!(a.app_oldest(0), None);
-    }
-
-    #[test]
-    fn recovery_resets_episode() {
-        let mut a = RunqueueAqm::new(cfg());
-        let high = Nanos::from_us(200);
-        let mut now = Nanos::ZERO;
-        for _ in 0..200 {
-            a.on_sample(0, now, high, None);
-            now += Nanos::from_us(10);
-        }
-        // Below target: controller leaves dropping; next excursion re-arms.
-        assert!(!a.on_sample(0, now, Nanos::from_us(1), None));
-        assert!(!a.on_sample(0, now + Nanos::from_us(10), high, None));
     }
 }

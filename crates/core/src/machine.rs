@@ -23,6 +23,7 @@ use skyloft_hw::{Apic, CoreId, UintrFabric, UpidId};
 #[cfg(feature = "chaos")]
 use skyloft_kmod::FaultMonitor;
 use skyloft_kmod::{Kmod, Tid};
+use skyloft_sim::control::ewma;
 use skyloft_sim::{EventQueue, Nanos, Rng, Token};
 
 use crate::aqm::RunqueueAqm;
@@ -258,16 +259,18 @@ impl CoreState {
     }
 }
 
-/// One per-app brownout controller: the same EWMA + hysteresis law as the
-/// global controller ([`Machine::note_overload_sample`]), but fed from the
-/// app's own runqueue sojourn so each SLO class engages and releases on
-/// its own thresholds instead of one machine-wide band.
+/// The LC/BE brownout controller ([`Machine::set_brownout`]).
 #[derive(Debug)]
-struct AppBrownout {
+struct Brownout {
     cfg: crate::conf::BrownoutConfig,
+    /// EWMA of the polling core's overload signal (ring sojourn plus
+    /// backpressure penalty).
     ewma: Nanos,
+    /// Whether the brownout is engaged (BE share being shed).
     engaged: bool,
+    /// Instant of the last state transition (hysteresis dwell).
     last_transition: Nanos,
+    /// Engage/release transitions performed, total.
     transitions: u64,
 }
 
@@ -385,22 +388,9 @@ pub struct Machine {
     pub core_alloc: Option<CoreAllocConfig>,
     /// The registered best-effort application.
     pub be_app: Option<AppId>,
-    /// Brownout controller configuration ([`Machine::set_brownout`]);
-    /// `None` leaves the §5.2 allocator's behaviour untouched.
-    brownout: Option<crate::conf::BrownoutConfig>,
-    /// EWMA of the polling core's overload signal (ring sojourn plus
-    /// backpressure penalty), in nanoseconds.
-    brownout_ewma: Nanos,
-    /// Whether the brownout is currently engaged (BE share being shed).
-    browned_out: bool,
-    /// Instant of the last brownout state transition (hysteresis dwell).
-    brownout_last_transition: Nanos,
-    /// Engage/release transitions performed, total.
-    brownout_transitions: u64,
-    /// Per-app brownout controllers ([`Machine::set_app_brownout`]),
-    /// indexed by `AppId`; an engaged entry makes the machine behave as
-    /// browned-out exactly like the global controller.
-    app_brownout: Vec<Option<AppBrownout>>,
+    /// Brownout controller ([`Machine::set_brownout`]); `None` leaves
+    /// the §5.2 allocator's behaviour untouched.
+    brownout: Option<Brownout>,
     /// Runqueue AQM ([`Machine::set_runqueue_aqm`]): CoDel on scheduler
     /// queue sojourn, the second containment ring behind the RX-ring AQM.
     rq_aqm: Option<RunqueueAqm>,
@@ -509,11 +499,6 @@ impl Machine {
             core_alloc: cfg.core_alloc,
             be_app: None,
             brownout: None,
-            brownout_ewma: Nanos::ZERO,
-            browned_out: false,
-            brownout_last_transition: Nanos::ZERO,
-            brownout_transitions: 0,
-            app_brownout: Vec::new(),
             rq_aqm: None,
             #[cfg(feature = "chaos")]
             recovery: RecoveryConfig::default(),
@@ -749,7 +734,13 @@ impl Machine {
     /// hysteretic engage/release loop: while engaged, every core-allocator
     /// tick behaves as congested, shedding BE share before LC is touched.
     pub fn set_brownout(&mut self, cfg: crate::conf::BrownoutConfig) {
-        self.brownout = Some(cfg);
+        self.brownout = Some(Brownout {
+            cfg,
+            ewma: Nanos::ZERO,
+            engaged: false,
+            last_transition: Nanos::ZERO,
+            transitions: 0,
+        });
     }
 
     /// Registers `app`'s SLO class: its per-class deadline, scheduling
@@ -771,94 +762,14 @@ impl Machine {
         self.rq_aqm = Some(RunqueueAqm::new(cfg));
     }
 
-    /// Arms a per-app brownout controller with its own hysteresis band,
-    /// fed from the app's runqueue sojourn by the runqueue AQM tick. Any
-    /// engaged per-app controller makes the machine behave browned-out
-    /// exactly like the global one.
-    pub fn set_app_brownout(&mut self, app: AppId, cfg: crate::conf::BrownoutConfig) {
-        assert!(app < self.apps.len(), "unknown app");
-        if self.app_brownout.len() <= app {
-            self.app_brownout.resize_with(app + 1, || None);
-        }
-        self.app_brownout[app] = Some(AppBrownout {
-            cfg,
-            ewma: Nanos::ZERO,
-            engaged: false,
-            last_transition: Nanos::ZERO,
-            transitions: 0,
-        });
-    }
-
-    /// Whether any brownout controller (global or per-app) is shedding.
+    /// Whether the brownout controller is shedding.
     pub fn browned_out(&self) -> bool {
-        self.browned_out
-            || self
-                .app_brownout
-                .iter()
-                .any(|b| b.as_ref().is_some_and(|b| b.engaged))
-    }
-
-    /// Whether `app`'s per-app brownout controller is engaged (`false`
-    /// when none is armed).
-    pub fn app_browned_out(&self, app: AppId) -> bool {
-        self.app_brownout
-            .get(app)
-            .and_then(|b| b.as_ref())
-            .is_some_and(|b| b.engaged)
-    }
-
-    /// Engage/release transitions of `app`'s brownout controller.
-    pub fn app_brownout_transitions(&self, app: AppId) -> u64 {
-        self.app_brownout
-            .get(app)
-            .and_then(|b| b.as_ref())
-            .map_or(0, |b| b.transitions)
-    }
-
-    /// Feeds one scheduler-side overload sample into `app`'s brownout
-    /// controller: the same EWMA + hysteresis law as
-    /// [`Machine::note_overload_sample`], minus the backpressure penalty
-    /// (runqueue sojourn has no ring to backpressure).
-    pub fn note_app_overload_sample(&mut self, now: Nanos, app: AppId, sojourn: Nanos) {
-        let Some(Some(b)) = self.app_brownout.get_mut(app) else {
-            return;
-        };
-        let sample = sojourn.0 as i128;
-        let ewma = b.ewma.0 as i128;
-        b.ewma = Nanos((ewma + ((sample - ewma) >> b.cfg.ewma_shift)) as u64);
-        let dwelled = now.saturating_sub(b.last_transition) >= b.cfg.min_dwell;
-        let mut flipped = None;
-        if !b.engaged && b.ewma > b.cfg.enter_sojourn && dwelled {
-            b.engaged = true;
-            b.last_transition = now;
-            b.transitions += 1;
-            flipped = Some(true);
-        } else if b.engaged && b.ewma < b.cfg.exit_sojourn && dwelled {
-            b.engaged = false;
-            b.last_transition = now;
-            b.transitions += 1;
-            flipped = Some(false);
-        }
-        #[cfg(feature = "trace")]
-        if let Some(on) = flipped {
-            self.trace_emit(
-                now,
-                None,
-                None,
-                if on {
-                    TraceKind::BrownoutShed
-                } else {
-                    TraceKind::BrownoutClear
-                },
-            );
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = flipped;
+        self.brownout.as_ref().is_some_and(|b| b.engaged)
     }
 
     /// Total engage/release transitions the brownout controller performed.
     pub fn brownout_transitions(&self) -> u64 {
-        self.brownout_transitions
+        self.brownout.as_ref().map_or(0, |b| b.transitions)
     }
 
     /// Feeds one overload sample from the polling core: the oldest RX-ring
@@ -870,28 +781,34 @@ impl Machine {
     /// `enter_sojourn`, release below `exit_sojourn`, and never flip twice
     /// within `min_dwell`.
     pub fn note_overload_sample(&mut self, now: Nanos, sojourn: Nanos, backpressured: bool) {
-        let Some(cfg) = self.brownout else { return };
+        let Some(b) = &mut self.brownout else { return };
+        let cfg = b.cfg;
         let penalty = if backpressured {
             Nanos(cfg.enter_sojourn.0 / 2)
         } else {
             Nanos::ZERO
         };
-        let sample = (sojourn + penalty).0 as i128;
-        let ewma = self.brownout_ewma.0 as i128;
-        self.brownout_ewma = Nanos((ewma + ((sample - ewma) >> cfg.ewma_shift)) as u64);
-        let dwelled = now.saturating_sub(self.brownout_last_transition) >= cfg.min_dwell;
-        if !self.browned_out && self.brownout_ewma > cfg.enter_sojourn && dwelled {
-            self.browned_out = true;
-            self.brownout_last_transition = now;
-            self.brownout_transitions += 1;
-            #[cfg(feature = "trace")]
-            self.trace_emit(now, None, None, TraceKind::BrownoutShed);
-        } else if self.browned_out && self.brownout_ewma < cfg.exit_sojourn && dwelled {
-            self.browned_out = false;
-            self.brownout_last_transition = now;
-            self.brownout_transitions += 1;
-            #[cfg(feature = "trace")]
-            self.trace_emit(now, None, None, TraceKind::BrownoutClear);
+        b.ewma = ewma(b.ewma, sojourn + penalty, cfg.ewma_shift);
+        let dwelled = now.saturating_sub(b.last_transition) >= cfg.min_dwell;
+        let flip = if b.engaged {
+            b.ewma < cfg.exit_sojourn
+        } else {
+            b.ewma > cfg.enter_sojourn
+        };
+        if !(flip && dwelled) {
+            return;
+        }
+        b.engaged = !b.engaged;
+        b.last_transition = now;
+        b.transitions += 1;
+        #[cfg(feature = "trace")]
+        {
+            let kind = if b.engaged {
+                TraceKind::BrownoutShed
+            } else {
+                TraceKind::BrownoutClear
+            };
+            self.trace_emit(now, None, None, kind);
         }
     }
 
@@ -1511,7 +1428,7 @@ impl Machine {
 
     /// One runqueue-AQM poll: scan queued tasks for each app's worst
     /// sojourn, feed the per-app CoDel controllers, condemn the task the
-    /// drop law selects, and feed the brownout controllers so
+    /// drop law selects, and feed the brownout controller so
     /// scheduler-side congestion engages the same graceful-degradation
     /// path as NIC-side congestion.
     fn on_rq_aqm_tick(&mut self, q: &mut EventQueue<Event>) {
@@ -1555,7 +1472,6 @@ impl Machine {
             };
             let sojourn = now.saturating_sub(since);
             worst = Some(worst.map_or(sojourn, |w| w.max(sojourn)));
-            self.note_app_overload_sample(now, app, sojourn);
             // An app with a registered SLO is judged against half its own
             // deadline; unclassed apps use the global default target.
             let target = self.apps[app].slo.map(|s| Nanos(s.slo.0 / 2));
@@ -1588,11 +1504,7 @@ impl Machine {
                 let Some(v) = victim else {
                     break;
                 };
-                let vt = self.tasks.get_mut(v);
-                if !vt.shed {
-                    vt.shed = true;
-                    aqm.note_condemned();
-                }
+                self.tasks.get_mut(v).shed = true;
             }
         }
         if let Some(w) = worst {
@@ -1634,16 +1546,7 @@ impl Machine {
             return false;
         };
         self.tasks.get_mut(victim).shed = true;
-        if let Some(aqm) = self.rq_aqm.as_mut() {
-            aqm.note_condemned();
-        }
         true
-    }
-
-    /// Tasks the runqueue AQM has condemned so far (marked, whether or
-    /// not a scheduling path has collected them yet).
-    pub fn rq_aqm_condemned(&self) -> u64 {
-        self.rq_aqm.as_ref().map_or(0, |a| a.condemned())
     }
 
     /// Terminates an AQM-condemned task at dequeue time instead of

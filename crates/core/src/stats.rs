@@ -1,10 +1,8 @@
 //! Machine-wide measurement state.
 
 use skyloft_metrics::Histogram;
+pub use skyloft_sim::control::{class_slot, MAX_CLASSES};
 use skyloft_sim::Nanos;
-
-/// Number of request classes tracked separately (e.g. GET/SET or GET/SCAN).
-pub const MAX_CLASSES: usize = 4;
 
 /// Counters and histograms populated while the machine runs.
 #[derive(Clone, Debug)]
@@ -152,12 +150,6 @@ impl Default for Stats {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Clamps a request class to a valid `*_by_class` index.
-#[inline]
-pub fn class_slot(class: u8) -> usize {
-    (class as usize).min(MAX_CLASSES - 1)
 }
 
 impl Stats {
@@ -407,13 +399,6 @@ mod tests {
         assert_eq!(s.rq_sheds, 3);
         assert_eq!(s.rq_sheds_by_class, [0, 3, 0, 0]);
         assert_eq!(s.completed_by_class, [7, 12, 0, 0]);
-    }
-
-    #[test]
-    fn class_slot_clamps() {
-        assert_eq!(class_slot(0), 0);
-        assert_eq!(class_slot(3), 3);
-        assert_eq!(class_slot(200), MAX_CLASSES - 1);
     }
 
     #[test]

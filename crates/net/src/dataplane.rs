@@ -26,6 +26,7 @@
 //! spawned tasks out); this module itself is pure data structure, so it
 //! is directly property-testable.
 
+use skyloft_sim::control::ewma;
 use skyloft_sim::Nanos;
 
 use crate::nic::RX_POLL_COST;
@@ -310,10 +311,9 @@ impl<T> MultiQueueNic<T> {
         self.poller_free_at = done;
         let handoff = done + extra;
         if n > 0 {
-            let sample = (handoff.0 - start.0) / n as u64;
-            let est = self.poll_cost_est[ring].0 as i64;
-            let next = est + ((sample as i64 - est) >> 3);
-            self.poll_cost_est[ring] = Nanos(next.max(0) as u64);
+            let sample = Nanos((handoff.0 - start.0) / n as u64);
+            let est = &mut self.poll_cost_est[ring];
+            *est = ewma(*est, sample, 3);
         }
         handoff
     }

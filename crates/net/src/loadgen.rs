@@ -83,11 +83,6 @@ impl OpenLoop {
         }
     }
 
-    /// The mean service time of the configured distribution.
-    pub fn mean_service(&self) -> f64 {
-        self.service.mean()
-    }
-
     /// Collects the full request schedule for a run of `duration`:
     /// every arrival at or before `duration`, in order. Empty when the
     /// rate is degenerate or the duration is zero — never panics.
@@ -259,11 +254,6 @@ impl ClassRetryBudgets {
     /// Retries spent by `class` so far.
     pub fn spent(&self, class: u8) -> u64 {
         self.buckets[crate::overload::class_slot(class)].spent()
-    }
-
-    /// Retries spent across all classes.
-    pub fn spent_total(&self) -> u64 {
-        self.buckets.iter().map(|b| b.spent()).sum()
     }
 }
 
@@ -470,7 +460,6 @@ mod tests {
         assert!(granted[1] <= 21, "{granted:?}");
         assert_eq!(b.spent(0), granted[0]);
         assert_eq!(b.spent(1), granted[1]);
-        assert_eq!(b.spent_total(), granted[0] + granted[1]);
     }
 
     #[cfg(feature = "overload")]

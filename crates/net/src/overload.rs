@@ -11,14 +11,10 @@
 //!
 //! Two mechanisms compose here, both exercised at the polling core:
 //!
-//! * [`Codel`] — the CoDel drop law (Nichols & Jacobson, CACM 2012) on
-//!   each ring. Tracks the head packet's *sojourn time* (now − enqueue
-//!   timestamp). While sojourn stays below `target` nothing happens; once
-//!   it has exceeded `target` for a full `interval` the controller enters
-//!   the dropping state and sheds packets at a rate that grows with the
-//!   square root of the drop count (`drop_next = now + interval/√count`),
-//!   which drives a standing queue back to `target` without reacting to
-//!   transient bursts.
+//! * [`Codel`] — the CoDel drop law on each ring, judging the head
+//!   packet's *sojourn time* (now − enqueue timestamp). The law itself
+//!   lives in [`skyloft_sim::control`], shared with the scheduler's
+//!   runqueue AQM, and is re-exported here.
 //! * [`AdmissionCtl`] — deadline-aware admission. Even a packet that
 //!   survives the ring may be doomed: if the worker's backlog times the
 //!   EWMA service estimate already exceeds the packet's remaining SLO
@@ -30,139 +26,9 @@
 //! with explicit `now` values, so they are directly property-testable and
 //! deterministic under simulation.
 
+use skyloft_sim::control::ewma;
+pub use skyloft_sim::control::{class_slot, Codel, CodelConfig, MAX_CLASSES};
 use skyloft_sim::Nanos;
-
-/// Number of distinct SLO classes the admission controller tracks.
-/// Mirrors `skyloft_core::stats::MAX_CLASSES` — this crate deliberately
-/// depends only on `skyloft-sim`, so the constant is duplicated rather
-/// than imported; the cross-crate agreement is pinned by the ledger
-/// invariants in the integration suites.
-pub const MAX_CLASSES: usize = 4;
-
-/// Folds a wire-format class byte into a tracked class slot (classes
-/// past the last slot share it, same rule as the core stats ledgers).
-pub fn class_slot(class: u8) -> usize {
-    (class as usize).min(MAX_CLASSES - 1)
-}
-
-/// Parameters of the CoDel drop law.
-///
-/// The canonical internet defaults are 5 ms / 100 ms; a kernel-bypass
-/// memcached server runs about three orders of magnitude faster, so the
-/// defaults here scale the same ~1:20 ratio down to microseconds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CodelConfig {
-    /// Acceptable standing-queue sojourn. Below this the controller is
-    /// quiescent.
-    pub target: Nanos,
-    /// How long sojourn must stay above `target` before dropping starts;
-    /// also the initial spacing of drops.
-    pub interval: Nanos,
-}
-
-impl Default for CodelConfig {
-    fn default() -> Self {
-        CodelConfig {
-            target: Nanos::from_us(25),
-            interval: Nanos::from_us(500),
-        }
-    }
-}
-
-/// Per-ring CoDel state machine. Feed every dequeued packet's sojourn
-/// through [`Codel::on_packet`]; `true` means *shed this packet*.
-#[derive(Clone, Debug)]
-pub struct Codel {
-    cfg: CodelConfig,
-    /// When the sojourn first exceeded `target` plus one `interval`
-    /// (i.e. the instant dropping may begin), if it is currently above.
-    first_above: Option<Nanos>,
-    /// Whether the controller is in the dropping state.
-    dropping: bool,
-    /// Next scheduled drop while in the dropping state.
-    drop_next: Nanos,
-    /// Drops in the current dropping episode (sets the √count rate).
-    count: u32,
-    /// `count` when the last episode ended, for the CoDel "resume at
-    /// nearly the old rate" refinement on quick re-entry.
-    last_count: u32,
-}
-
-impl Codel {
-    /// A quiescent controller with the given law parameters.
-    pub fn new(cfg: CodelConfig) -> Self {
-        Codel {
-            cfg,
-            first_above: None,
-            dropping: false,
-            drop_next: Nanos::ZERO,
-            count: 0,
-            last_count: 0,
-        }
-    }
-
-    /// The law parameters.
-    pub fn cfg(&self) -> CodelConfig {
-        self.cfg
-    }
-
-    /// Whether the controller is currently in the dropping state.
-    pub fn dropping(&self) -> bool {
-        self.dropping
-    }
-
-    /// `interval / sqrt(count)`: the control law spacing successive drops.
-    fn control_law(&self, t: Nanos) -> Nanos {
-        t + Nanos((self.cfg.interval.0 as f64 / (self.count.max(1) as f64).sqrt()) as u64)
-    }
-
-    /// Judges one dequeued packet: `sojourn` is how long it sat in the
-    /// ring, `now` the dequeue instant. Returns `true` when the drop law
-    /// says to shed it.
-    pub fn on_packet(&mut self, now: Nanos, sojourn: Nanos) -> bool {
-        if sojourn < self.cfg.target {
-            // Queue is fine: leave the dropping state and forget the
-            // above-target episode.
-            self.first_above = None;
-            self.dropping = false;
-            return false;
-        }
-        match self.first_above {
-            None => {
-                // First packet above target: arm the interval timer.
-                self.first_above = Some(now + self.cfg.interval);
-                false
-            }
-            Some(fa) if !self.dropping => {
-                if now < fa {
-                    return false;
-                }
-                // Sojourn stayed above target for a whole interval:
-                // enter the dropping state and shed this packet. Resume
-                // near the previous rate when the last episode was
-                // recent (we are oscillating around the operating
-                // point), else restart gently.
-                self.dropping = true;
-                self.count = if self.last_count > 2 && now < self.drop_next + self.cfg.interval {
-                    self.last_count - 2
-                } else {
-                    1
-                };
-                self.drop_next = self.control_law(now);
-                true
-            }
-            Some(_) => {
-                if now < self.drop_next {
-                    return false;
-                }
-                self.count += 1;
-                self.last_count = self.count;
-                self.drop_next = self.control_law(self.drop_next);
-                true
-            }
-        }
-    }
-}
 
 /// Parameters of deadline-aware admission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -209,8 +75,9 @@ pub struct AdmissionCtl {
     est: Nanos,
     /// Per-class service estimates (integer EWMA, same law as `est`).
     class_est: [Nanos; MAX_CLASSES],
-    /// Per-class admitted-but-unfinished counts, maintained via
-    /// [`AdmissionCtl::note_admitted`]/[`AdmissionCtl::note_done`].
+    /// Per-class admitted-but-unfinished counts: resynced by
+    /// [`AdmissionCtl::set_class_backlog`], grown by
+    /// [`AdmissionCtl::note_admitted`].
     class_backlog: [u64; MAX_CLASSES],
 }
 
@@ -257,21 +124,15 @@ impl AdmissionCtl {
 
     /// Folds one observed per-request service time into the estimate.
     pub fn observe(&mut self, service: Nanos) {
-        let shift = self.cfg.ewma_shift;
-        let est = self.est.0 as i128;
-        let delta = service.0 as i128 - est;
-        self.est = Nanos((est + (delta >> shift)) as u64);
+        self.est = ewma(self.est, service, self.cfg.ewma_shift);
     }
 
     /// Folds one observed service time into `class`'s estimate (and the
     /// global one, so single-class probes keep working under tenancy).
     pub fn observe_class(&mut self, class: u8, service: Nanos) {
         self.observe(service);
-        let shift = self.cfg.ewma_shift;
-        let slot = class_slot(class);
-        let est = self.class_est[slot].0 as i128;
-        let delta = service.0 as i128 - est;
-        self.class_est[slot] = Nanos((est + (delta >> shift)) as u64);
+        let est = &mut self.class_est[class_slot(class)];
+        *est = ewma(*est, service, self.cfg.ewma_shift);
     }
 
     /// Counts one admitted request of `class` toward its backlog.
@@ -279,18 +140,11 @@ impl AdmissionCtl {
         self.class_backlog[class_slot(class)] += 1;
     }
 
-    /// Retires one request of `class` from its backlog (delivered, timed
-    /// out, or shed downstream — anything that stops occupying a worker).
-    pub fn note_done(&mut self, class: u8) {
-        let slot = class_slot(class);
-        self.class_backlog[slot] = self.class_backlog[slot].saturating_sub(1);
-    }
-
     /// Overwrites one class's backlog with an externally computed ground
     /// truth. Callers that can see both sides of the worker (the poller
     /// reads delivered and completed counters each round) resync with
-    /// this instead of pairing every `note_admitted` with a `note_done`,
-    /// which would require a completion callback they don't have.
+    /// this instead of retiring requests one by one, which would require
+    /// a completion callback they don't have.
     pub fn set_class_backlog(&mut self, class: u8, backlog: u64) {
         self.class_backlog[class_slot(class)] = backlog;
     }
@@ -349,77 +203,6 @@ impl AdmissionCtl {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn law() -> CodelConfig {
-        CodelConfig {
-            target: Nanos::from_us(25),
-            interval: Nanos::from_us(500),
-        }
-    }
-
-    #[test]
-    fn below_target_never_drops() {
-        let mut c = Codel::new(law());
-        for i in 0..10_000u64 {
-            let now = Nanos(i * 100);
-            assert!(!c.on_packet(now, Nanos::from_us(24)), "dropped at {now:?}");
-        }
-        assert!(!c.dropping());
-    }
-
-    #[test]
-    fn sustained_excess_enters_dropping_after_one_interval() {
-        let mut c = Codel::new(law());
-        let sojourn = Nanos::from_us(100);
-        // Above target but within the first interval: no drops yet.
-        assert!(!c.on_packet(Nanos::ZERO, sojourn));
-        assert!(!c.on_packet(Nanos::from_us(499), sojourn));
-        // One interval elapsed: the next above-target packet is shed.
-        assert!(c.on_packet(Nanos::from_us(500), sojourn));
-        assert!(c.dropping());
-    }
-
-    #[test]
-    fn drop_rate_accelerates_with_sqrt_count() {
-        let mut c = Codel::new(law());
-        let sojourn = Nanos::from_us(100);
-        let mut now = Nanos::ZERO;
-        let mut drops = Vec::new();
-        // Feed a packet every 10 µs with a stuck-high sojourn; record the
-        // drop instants.
-        for _ in 0..1_000 {
-            if c.on_packet(now, sojourn) {
-                drops.push(now);
-            }
-            now += Nanos::from_us(10);
-        }
-        assert!(drops.len() >= 4, "only {} drops", drops.len());
-        // Successive inter-drop gaps shrink (interval/√count).
-        let gap1 = drops[1] - drops[0];
-        let last_gap = drops[drops.len() - 1] - drops[drops.len() - 2];
-        assert!(
-            last_gap < gap1,
-            "drop rate did not accelerate: first gap {gap1:?}, last {last_gap:?}"
-        );
-    }
-
-    #[test]
-    fn recovery_leaves_dropping_state() {
-        let mut c = Codel::new(law());
-        let high = Nanos::from_us(100);
-        let mut now = Nanos::ZERO;
-        for _ in 0..200 {
-            c.on_packet(now, high);
-            now += Nanos::from_us(10);
-        }
-        assert!(c.dropping());
-        // Queue drained: one below-target packet resets the controller.
-        assert!(!c.on_packet(now, Nanos::from_us(1)));
-        assert!(!c.dropping());
-        // And the next above-target packet starts a fresh interval, not
-        // an immediate drop.
-        assert!(!c.on_packet(now + Nanos::from_us(10), high));
-    }
 
     #[test]
     fn admission_ewma_converges() {
@@ -540,14 +323,12 @@ mod tests {
     }
 
     #[test]
-    fn per_class_backlog_tracks_admit_and_done() {
+    fn per_class_backlog_tracks_admit_and_resync() {
         let mut a = AdmissionCtl::new(classed());
         a.note_admitted(2);
         a.note_admitted(2);
-        a.note_done(2);
-        assert_eq!(a.class_backlog(2), 1);
-        a.note_done(2);
-        a.note_done(2); // extra retire saturates at zero
+        assert_eq!(a.class_backlog(2), 2);
+        a.set_class_backlog(2, 0);
         assert_eq!(a.class_backlog(2), 0);
         // Classes past the last slot share it.
         a.note_admitted(9);

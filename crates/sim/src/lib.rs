@@ -13,6 +13,7 @@
 
 #![warn(missing_docs)]
 
+pub mod control;
 pub mod event;
 #[cfg(any(test, feature = "reference-queue"))]
 pub mod reference;

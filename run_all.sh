@@ -4,7 +4,7 @@ set -x
 for b in tab4_loc tab5_params tab6_preemption sec54_switch tab7_threadops \
          fig5_schbench fig6_timeslice fig7a_single fig7b_multi \
          fig8a_memcached fig8b_rocksdb ablate_dispatcher ablate_quantum \
-         slo_sweep; do
+         slo_sweep chaos_sweep netbench; do
   echo "### $b"
   ./target/release/$b 2>/dev/null
   echo "### $b exit=$?"
@@ -17,7 +17,8 @@ done
 # to their serial forms) — fail loudly instead of silently shipping new
 # numbers.
 status=0
-for f in fig5_schbench fig6_timeslice fig7a_single fig7a_tput slo_sweep; do
+for f in fig5_schbench fig6_timeslice fig7a_single fig7a_tput slo_sweep \
+         chaos_sweep chaos_sweep_dataplane netbench; do
   if git diff --quiet -- "results/$f.csv"; then
     echo "### golden $f.csv: identical"
   else
