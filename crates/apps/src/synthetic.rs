@@ -164,9 +164,18 @@ pub fn install_open_loop_net(
     net: Option<NetProfile>,
 ) {
     match placement {
-        Placement::Rss { n } => {
-            install_open_loop_nic(q, gen, app, NicConfig::for_workers(n), until, net)
-        }
+        Placement::Rss { n } => install_tenants(
+            q,
+            vec![Tenant {
+                gen,
+                app,
+                class: None,
+            }],
+            NicConfig::for_workers(n),
+            until,
+            net,
+            OverloadControl::default(),
+        ),
         Placement::Queue => schedule_next_direct(q, gen, app, None, until, net),
         Placement::RssDirect { n } => {
             schedule_next_direct(q, gen, app, Some(RssHasher::new(n)), until, net)
@@ -432,23 +441,12 @@ struct PlaneState {
 }
 
 /// Installs an open-loop arrival process routed through an explicitly
-/// configured [`MultiQueueNic`]: wire transit, RSS steering into bounded
-/// RX rings, burst-draining polling core, per-worker backpressure.
-/// [`Placement::Rss`] is this with [`NicConfig::for_workers`].
-pub fn install_open_loop_nic(
-    q: &mut EventQueue<Event>,
-    gen: OpenLoop,
-    app: usize,
-    cfg: NicConfig,
-    until: Nanos,
-    net: Option<NetProfile>,
-) {
-    install_open_loop_ctl(q, gen, app, cfg, until, net, OverloadControl::default());
-}
-
-/// [`install_open_loop_nic`] with the overload-control layers of
-/// [`OverloadControl`] armed: CoDel on the rings, deadline-aware
-/// admission at the polling core, and the retrying client. The poller
+/// configured [`MultiQueueNic`] — wire transit, RSS steering into bounded
+/// RX rings, burst-draining polling core, per-worker backpressure — with
+/// the overload-control layers of [`OverloadControl`] armed: CoDel on the
+/// rings, deadline-aware admission at the polling core, and the retrying
+/// client. [`Placement::Rss`] is this with [`NicConfig::for_workers`] and
+/// [`OverloadControl::default`] (plain tail-drop rings). The poller
 /// also feeds the machine's brownout controller
 /// ([`Machine::note_overload_sample`]) one sample per poll round — worst
 /// head-of-ring sojourn plus whether any drain was backpressured —
@@ -1611,7 +1609,15 @@ mod tests {
         );
         let mut nic = NicConfig::for_workers(4);
         nic.client_timeout = Nanos::from_ms(1);
-        install_open_loop_nic(&mut q, gen, 0, nic, Nanos::from_ms(10), None);
+        install_open_loop_ctl(
+            &mut q,
+            gen,
+            0,
+            nic,
+            Nanos::from_ms(10),
+            None,
+            OverloadControl::default(),
+        );
         m.run(&mut q, Nanos::from_ms(30));
         let s = &m.stats;
         assert!(s.rx_ring_drops > 0, "2x overload must tail-drop");

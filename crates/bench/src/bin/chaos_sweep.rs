@@ -21,7 +21,7 @@
 use skyloft::machine::{AppKind, Event, Machine, MachineConfig};
 use skyloft::{FaultPlan, Platform, RecoveryConfig};
 use skyloft_apps::synthetic::{dispersive, dispersive_threshold, install_open_loop, Placement};
-use skyloft_bench::{out, scaled, setup};
+use skyloft_bench::{out, scaled, setup, Flags};
 use skyloft_hw::Topology;
 use skyloft_metrics::Table;
 use skyloft_net::OpenLoop;
@@ -238,14 +238,8 @@ fn dataplane_phase(cfg: &RunCfg) {
 }
 
 fn main() {
-    let args = skyloft_bench::positional_args();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--seed takes a u64"))
-        .unwrap_or(setup::SEED);
+    let flags = Flags::parse();
+    let (smoke, seed) = (flags.smoke, flags.seed.unwrap_or(setup::SEED));
 
     let cfg = if smoke {
         RunCfg {

@@ -13,7 +13,7 @@
 //!
 //! Results go to `results/netbench.csv`; `--write` records the direct
 //! series as `pre_change` and the NIC series as `current` in the repo-root
-//! `BENCH_net.json`; `--check` re-runs the sweep and gates CI on the
+//! `BENCH_net.json` (canonical runs only); `--check` re-runs the sweep and gates CI on the
 //! semantic shape (NIC overload p99 bounded by the timeout, drops
 //! observed, direct tail far worse) plus a regression bound against the
 //! stored NIC numbers.
@@ -21,7 +21,8 @@
 use skyloft_apps::harness::{par_map, sweep_threads, trace_arg};
 use skyloft_apps::memcached::{usr_distribution, usr_threshold};
 use skyloft_apps::synthetic::{install_open_loop_net, Placement};
-use skyloft_bench::{build, out, scaled};
+use skyloft_bench::baseline::Gate;
+use skyloft_bench::{build, out, scaled, Flags};
 use skyloft_metrics::Table;
 use skyloft_net::loadgen::{NetProfile, OpenLoop};
 use skyloft_sim::Nanos;
@@ -101,8 +102,6 @@ fn run_series(placement: &Placement) -> Vec<NetPoint> {
     })
 }
 
-use skyloft_bench::baseline::{extract, net_baseline_path as baseline_path, upsert_section};
-
 /// The metrics a series contributes to the baseline file: the knee-side
 /// point (last rate under nominal capacity) and the overload point (last
 /// rate of the sweep).
@@ -120,76 +119,9 @@ fn series_json(points: &[NetPoint], indent: &str) -> String {
     )
 }
 
-/// Splices this bench's two sections into the shared baseline, leaving
-/// other benches' sections (overload_sweep's) untouched.
-fn write_baseline(direct: &[NetPoint], nic: &[NetPoint]) {
-    let path = baseline_path();
-    let r = upsert_section(&path, "pre_change", &series_json(direct, "    "))
-        .and_then(|()| upsert_section(&path, "current", &series_json(nic, "    ")));
-    match r {
-        Ok(()) => eprintln!("netbench: wrote {}", path.display()),
-        Err(e) => eprintln!("netbench: failed to write {}: {e}", path.display()),
-    }
-}
-
-fn check_baseline(direct: &[NetPoint], nic: &[NetPoint]) -> bool {
-    let timeout_us = TIMEOUT.0 as f64 / 1000.0;
-    let nic_over = nic.last().expect("sweep has points");
-    let direct_over = direct.last().expect("sweep has points");
-    let mut ok = true;
-    // (1) Bounded tail past saturation: the NIC path's p99 may not exceed
-    // the client timeout by more than measurement slack.
-    if nic_over.p99_us > timeout_us * 1.15 {
-        eprintln!(
-            "netbench: FAIL — NIC overload p99 {:.1} us exceeds the {:.0} us client timeout",
-            nic_over.p99_us, timeout_us
-        );
-        ok = false;
-    }
-    // (2) Overload must manifest as tail-drops, not hidden queues.
-    if nic_over.drops == 0 {
-        eprintln!("netbench: FAIL — no RX ring drops at {} rps", nic_over.rate);
-        ok = false;
-    }
-    // (3) The pre-change path demonstrates the bug: its overload tail is
-    // an unbounded queue, far beyond the NIC path's timeout-bounded tail.
-    if direct_over.p99_us < 1.5 * nic_over.p99_us {
-        eprintln!(
-            "netbench: FAIL — direct overload p99 {:.1} us should dwarf NIC's {:.1} us",
-            direct_over.p99_us, nic_over.p99_us
-        );
-        ok = false;
-    }
-    // (4) Regression bound vs the stored NIC numbers, when present.
-    if let Ok(json) = std::fs::read_to_string(baseline_path()) {
-        if let Some(base) = extract(&json, "current", "overload_p99_us") {
-            if nic_over.p99_us > base * 1.3 {
-                eprintln!(
-                    "netbench: REGRESSION — NIC overload p99 {:.1} us vs baseline {base:.1} us",
-                    nic_over.p99_us
-                );
-                ok = false;
-            } else {
-                eprintln!(
-                    "netbench: NIC overload p99 {:.1} us vs baseline {base:.1} us — ok",
-                    nic_over.p99_us
-                );
-            }
-        }
-    } else {
-        eprintln!(
-            "netbench: no baseline at {} — semantic checks only",
-            baseline_path().display()
-        );
-    }
-    ok
-}
-
 fn main() {
     let _ = trace_arg();
-    let args = skyloft_bench::positional_args();
-    let write = args.iter().any(|a| a == "--write");
-    let check = args.iter().any(|a| a == "--check");
+    let mut gate = Gate::new("netbench", "BENCH_net.json", Flags::parse());
 
     eprintln!("netbench: sweeping direct (pre-change) path...");
     let direct = run_series(&Placement::RssDirect { n: WORKERS });
@@ -236,10 +168,34 @@ fn main() {
         direct.last().expect("sweep has points").p99_us
     );
 
-    if write {
-        write_baseline(&direct, &nic);
-    }
-    if check && !check_baseline(&direct, &nic) {
-        std::process::exit(1);
-    }
+    gate.upsert("pre_change", series_json(&direct, "    "));
+    gate.upsert("current", series_json(&nic, "    "));
+    let timeout_us = TIMEOUT.0 as f64 / 1000.0;
+    let direct_over = direct.last().expect("sweep has points");
+    // (1) Bounded tail past saturation: the NIC path's p99 may not exceed
+    // the client timeout by more than measurement slack.
+    gate.require(
+        over.p99_us <= timeout_us * 1.15,
+        format_args!(
+            "NIC overload p99 {:.1} us within the {timeout_us:.0} us client timeout (+15%)",
+            over.p99_us
+        ),
+    );
+    // (2) Overload must manifest as tail-drops, not hidden queues.
+    gate.require(
+        over.drops > 0,
+        format_args!("{} RX ring drops at {} rps", over.drops, over.rate),
+    );
+    // (3) The pre-change path demonstrates the bug: its overload tail is
+    // an unbounded queue, far beyond the NIC path's timeout-bounded tail.
+    gate.require(
+        direct_over.p99_us >= 1.5 * over.p99_us,
+        format_args!(
+            "direct overload p99 {:.1} us dwarfs (>= 1.5x) NIC's {:.1} us",
+            direct_over.p99_us, over.p99_us
+        ),
+    );
+    // (4) Regression bound vs the stored NIC numbers.
+    gate.at_most("current", "overload_p99_us", over.p99_us, 1.3);
+    gate.finish();
 }

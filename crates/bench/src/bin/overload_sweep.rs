@@ -15,7 +15,8 @@
 //!
 //! Results go to `results/overload_sweep.csv`; `--write` splices the two
 //! series into the repo-root `BENCH_net.json` (sections `overload_ctl` /
-//! `overload_tail_drop`, leaving netbench's sections untouched);
+//! `overload_tail_drop`, leaving netbench's sections untouched; canonical
+//! runs only);
 //! `--check` re-runs the sweep and gates CI on the semantic shape
 //! (goodput plateau, SLO-bounded served tail, tail-drop collapse) plus a
 //! regression bound against the stored goodput. `--smoke` shortens the
@@ -25,8 +26,8 @@ use skyloft::BrownoutConfig;
 use skyloft_apps::harness::{par_map, sweep_threads, trace_arg};
 use skyloft_apps::memcached::{usr_distribution, usr_threshold};
 use skyloft_apps::synthetic::{install_open_loop_ctl, OverloadControl};
-use skyloft_bench::baseline::{extract, net_baseline_path, upsert_section};
-use skyloft_bench::{build, out, scaled};
+use skyloft_bench::baseline::Gate;
+use skyloft_bench::{build, out, scaled, Flags};
 use skyloft_metrics::Table;
 use skyloft_net::dataplane::NicConfig;
 use skyloft_net::loadgen::OpenLoop;
@@ -173,88 +174,11 @@ fn series_json(points: &[OverPoint], indent: &str) -> String {
     )
 }
 
-fn write_baseline(ctl: &[OverPoint], tail: &[OverPoint]) {
-    let path = net_baseline_path();
-    let r = upsert_section(&path, "overload_ctl", &series_json(ctl, "    "))
-        .and_then(|()| upsert_section(&path, "overload_tail_drop", &series_json(tail, "    ")));
-    match r {
-        Ok(()) => eprintln!("overload_sweep: wrote {}", path.display()),
-        Err(e) => eprintln!("overload_sweep: failed to write {}: {e}", path.display()),
-    }
-}
-
-fn check(ctl: &[OverPoint], tail: &[OverPoint]) -> bool {
-    let slo_us = SLO.0 as f64 / 1000.0;
-    let peak = ctl.iter().map(|p| p.goodput_rps).fold(0.0, f64::max);
-    let at2x = &ctl[TWO_X];
-    let tail2x = &tail[TWO_X];
-    let mut ok = true;
-    // (1) Goodput plateau: at 2x saturation the controller must hold at
-    // least 85% of the series' peak goodput.
-    if at2x.goodput_rps < 0.85 * peak {
-        eprintln!(
-            "overload_sweep: FAIL — goodput at 2x {:.0} rps fell below 85% of peak {:.0} rps",
-            at2x.goodput_rps, peak
-        );
-        ok = false;
-    }
-    // (2) What the controller serves lands inside the SLO (15%
-    // measurement slack, as netbench grants its timeout bound).
-    if at2x.p99_us > slo_us * 1.15 {
-        eprintln!(
-            "overload_sweep: FAIL — served p99 at 2x {:.1} us exceeds the {slo_us:.0} us SLO",
-            at2x.p99_us
-        );
-        ok = false;
-    }
-    // (3) Overload must manifest as early sheds, not hidden queues.
-    if at2x.admission_sheds == 0 || at2x.aqm_drops == 0 {
-        eprintln!(
-            "overload_sweep: FAIL — controller never shed at 2x (aqm {}, admission {})",
-            at2x.aqm_drops, at2x.admission_sheds
-        );
-        ok = false;
-    }
-    // (4) The tail-drop path demonstrates the failure mode: its 2x
-    // goodput collapses to a fraction of the controller's.
-    if tail2x.goodput_rps > 0.5 * at2x.goodput_rps {
-        eprintln!(
-            "overload_sweep: FAIL — tail-drop goodput {:.0} rps should collapse vs controller {:.0} rps",
-            tail2x.goodput_rps, at2x.goodput_rps
-        );
-        ok = false;
-    }
-    // (5) Regression bound vs the stored controller goodput, if present.
-    if let Ok(json) = std::fs::read_to_string(net_baseline_path()) {
-        if let Some(base) = extract(&json, "overload_ctl", "goodput_2x_rps") {
-            if at2x.goodput_rps < base * 0.9 {
-                eprintln!(
-                    "overload_sweep: REGRESSION — goodput at 2x {:.0} rps vs baseline {base:.0} rps",
-                    at2x.goodput_rps
-                );
-                ok = false;
-            } else {
-                eprintln!(
-                    "overload_sweep: goodput at 2x {:.0} rps vs baseline {base:.0} rps — ok",
-                    at2x.goodput_rps
-                );
-            }
-        }
-    } else {
-        eprintln!(
-            "overload_sweep: no baseline at {} — semantic checks only",
-            net_baseline_path().display()
-        );
-    }
-    ok
-}
-
 fn main() {
     let _ = trace_arg();
-    let args = skyloft_bench::positional_args();
-    let write = args.iter().any(|a| a == "--write");
-    let do_check = args.iter().any(|a| a == "--check");
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let flags = Flags::parse();
+    let smoke = flags.smoke;
+    let mut gate = Gate::new("overload_sweep", "BENCH_net.json", flags);
 
     eprintln!("overload_sweep: sweeping tail-drop (controller off)...");
     let tail = run_series(false, smoke);
@@ -309,10 +233,47 @@ fn main() {
         at2x.retries_spent
     );
 
-    if write {
-        write_baseline(&ctl, &tail);
-    }
-    if do_check && !check(&ctl, &tail) {
-        std::process::exit(1);
-    }
+    gate.upsert("overload_ctl", series_json(&ctl, "    "));
+    gate.upsert("overload_tail_drop", series_json(&tail, "    "));
+    let slo_us = SLO.0 as f64 / 1000.0;
+    let peak = ctl.iter().map(|p| p.goodput_rps).fold(0.0, f64::max);
+    let tail2x = &tail[TWO_X];
+    // (1) Goodput plateau: at 2x saturation the controller must hold at
+    // least 85% of the series' peak goodput.
+    gate.require(
+        at2x.goodput_rps >= 0.85 * peak,
+        format_args!(
+            "goodput at 2x {:.0} rps holds >= 85% of peak {peak:.0} rps",
+            at2x.goodput_rps
+        ),
+    );
+    // (2) What the controller serves lands inside the SLO (15%
+    // measurement slack, as netbench grants its timeout bound).
+    gate.require(
+        at2x.p99_us <= slo_us * 1.15,
+        format_args!(
+            "served p99 at 2x {:.1} us within the {slo_us:.0} us SLO (+15%)",
+            at2x.p99_us
+        ),
+    );
+    // (3) Overload must manifest as early sheds, not hidden queues.
+    gate.require(
+        at2x.admission_sheds > 0 && at2x.aqm_drops > 0,
+        format_args!(
+            "controller sheds at 2x (aqm {}, admission {})",
+            at2x.aqm_drops, at2x.admission_sheds
+        ),
+    );
+    // (4) The tail-drop path demonstrates the failure mode: its 2x
+    // goodput collapses to a fraction of the controller's.
+    gate.require(
+        tail2x.goodput_rps <= 0.5 * at2x.goodput_rps,
+        format_args!(
+            "tail-drop goodput {:.0} rps collapses (<= 50%) vs controller {:.0} rps",
+            tail2x.goodput_rps, at2x.goodput_rps
+        ),
+    );
+    // (5) Regression bound vs the stored controller goodput.
+    gate.at_least("overload_ctl", "goodput_2x_rps", at2x.goodput_rps, 0.9);
+    gate.finish();
 }

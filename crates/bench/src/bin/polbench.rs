@@ -6,8 +6,9 @@
 //!
 //! Results go to `results/polbench.csv`; `--write` records them into the
 //! repo-root `BENCH_policy.json` (one section per policy, spliced with
-//! `baseline::upsert_section` so other benches' sections survive), with
-//! the oracle's numbers alongside as the pre-optimization reference.
+//! `baseline::upsert_section` so other benches' sections survive;
+//! canonical runs only), with the oracle's numbers alongside as the
+//! pre-optimization reference.
 //! `--check` is the CI gate: it fails on a >30% pick-throughput
 //! regression against the stored baseline, and it fails outright if
 //! EEVDF's pick throughput at the 4096-task population is not at least
@@ -21,7 +22,8 @@ use skyloft::task::{Task, TaskId, TaskTable};
 use skyloft::SchedParams;
 use skyloft_apps::harness::trace_arg;
 use skyloft_apps::schbench;
-use skyloft_bench::{baseline, build, out, scaled};
+use skyloft_bench::baseline::Gate;
+use skyloft_bench::{build, out, scaled, Flags};
 use skyloft_metrics::Table;
 use skyloft_policies::{cfs, eevdf, reference, rr, shinjuku, shinjuku_shenango, work_stealing};
 use skyloft_sim::Nanos;
@@ -254,9 +256,7 @@ fn section_body(samples: &[(usize, PopSample)]) -> String {
 
 fn main() {
     let _ = trace_arg();
-    let args = skyloft_bench::positional_args();
-    let write = args.iter().any(|a| a == "--write");
-    let check = args.iter().any(|a| a == "--check");
+    let mut gate = Gate::new("polbench", "BENCH_policy.json", Flags::parse());
 
     let mut t = Table::new(&[
         "policy",
@@ -300,58 +300,29 @@ fn main() {
     let speedup = gate_pick("eevdf") / gate_pick("eevdf_oracle").max(1.0);
     println!("eevdf pick speedup vs oracle at {GATE_POP} tasks: {speedup:.1}x");
 
-    if write {
-        let path = baseline::policy_baseline_path();
-        let mut ok = true;
-        for (name, _, samples) in &results {
-            ok &= baseline::upsert_section(&path, name, &section_body(samples)).is_ok();
-        }
-        let e2e = format!(
+    for (name, _, samples) in &results {
+        gate.upsert(name, section_body(samples));
+    }
+    gate.upsert(
+        "end_to_end",
+        format!(
             "    \"eevdf_schbench_events_per_sec\": {e2e_events_per_sec:.0},\n    \"eevdf_speedup_vs_oracle_{GATE_POP}\": {speedup:.1}"
-        );
-        ok &= baseline::upsert_section(&path, "end_to_end", &e2e).is_ok();
-        if ok {
-            eprintln!("polbench: wrote {}", path.display());
-        } else {
-            eprintln!("polbench: failed to write {}", path.display());
-        }
-    }
+        ),
+    );
 
-    if check {
-        let mut ok = true;
-        if speedup < GATE_SPEEDUP {
-            eprintln!(
-                "polbench: GATE FAILURE: eevdf pick throughput at {GATE_POP} tasks is only \
-                 {speedup:.1}x the oracle (need >= {GATE_SPEEDUP:.0}x)"
-            );
-            ok = false;
-        }
-        let json = std::fs::read_to_string(baseline::policy_baseline_path()).unwrap_or_default();
-        for (name, oracle, samples) in &results {
-            if *oracle {
-                continue; // the oracles are the yardstick, not the product
-            }
-            let key = format!("picks_per_sec_{GATE_POP}");
-            let Some(base) = baseline::extract(&json, name, &key) else {
-                continue;
-            };
-            let measured = samples
-                .iter()
-                .find(|(p, _)| *p == GATE_POP)
-                .map(|(_, s)| s.picks_per_sec)
-                .unwrap_or(0.0);
-            if measured < base * 0.7 {
-                eprintln!(
-                    "polbench: REGRESSION on {name} {key}: measured {measured:.0} < 70% of \
-                     baseline {base:.0}"
-                );
-                ok = false;
-            } else {
-                eprintln!("polbench: {name} {key} {measured:.0} vs baseline {base:.0} — ok");
-            }
-        }
-        if !ok {
-            std::process::exit(1);
+    gate.require(
+        speedup >= GATE_SPEEDUP,
+        format_args!(
+            "eevdf pick throughput at {GATE_POP} tasks is {speedup:.1}x the oracle \
+             (need >= {GATE_SPEEDUP:.0}x)"
+        ),
+    );
+    let key = format!("picks_per_sec_{GATE_POP}");
+    for (name, oracle, _) in &results {
+        if !*oracle {
+            // the oracles are the yardstick, not the product
+            gate.at_least(name, &key, gate_pick(name), 0.7);
         }
     }
+    gate.finish();
 }

@@ -3,11 +3,12 @@
 //! every figure — the §5.2 dispersive open-loop sweep and schbench.
 //!
 //! Results go to `results/simbench.csv`; `--write` also records them as
-//! the `current` engine in the repo-root `BENCH_sim.json` (preserving the
-//! `pre_change` section so the perf trajectory vs the original
-//! `BinaryHeap` engine stays on record). `--check` compares the measured
-//! dispersive events/sec against `BENCH_sim.json`'s `current` entry and
-//! exits non-zero on a >30% regression — that is the CI smoke gate.
+//! the `current` engine in the repo-root `BENCH_sim.json` (canonical runs
+//! only; the `pre_change` section keeps the perf trajectory vs the
+//! original `BinaryHeap` engine on record). `--check` compares the
+//! measured events/sec of both workloads against `BENCH_sim.json`'s
+//! `current` entry and exits non-zero on a >30% regression — that is the
+//! CI smoke gate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,7 +17,8 @@ use std::time::Instant;
 use skyloft_apps::harness::trace_arg;
 use skyloft_apps::schbench;
 use skyloft_apps::synthetic::{dispersive, dispersive_threshold, install_open_loop_net, Placement};
-use skyloft_bench::{build, out, scaled, setup::FIG7_QUANTUM};
+use skyloft_bench::baseline::{best_of, Gate};
+use skyloft_bench::{build, out, scaled, setup::FIG7_QUANTUM, Flags};
 use skyloft_metrics::Table;
 use skyloft_net::loadgen::OpenLoop;
 use skyloft_policies::RoundRobin;
@@ -107,131 +109,20 @@ fn run_schbench() -> Sample {
     })
 }
 
-fn best_of(n: usize, f: impl Fn() -> Sample) -> Sample {
-    (0..n)
-        .map(|_| f())
-        .max_by(|a, b| a.events_per_sec().total_cmp(&b.events_per_sec()))
-        .expect("at least one sample")
-}
-
-fn baseline_path() -> std::path::PathBuf {
-    std::path::PathBuf::from(format!(
-        "{}/../../BENCH_sim.json",
-        env!("CARGO_MANIFEST_DIR")
-    ))
-}
-
-/// Pulls `"key": <number>` out of `section` of the hand-rolled baseline
-/// JSON. Good enough for the flat schema `simbench --write` emits.
-fn extract(json: &str, section: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{section}\""))?;
-    let rest = &json[at..];
-    let at = rest.find(&format!("\"{key}\""))?;
-    let rest = &rest[at..];
-    let colon = rest.find(':')?;
-    let num: String = rest[colon + 1..]
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    num.parse().ok()
-}
-
-fn engine_json(disp: &Sample, sch: &Sample, indent: &str) -> String {
-    format!(
-        "{indent}\"dispersive_events_per_sec\": {:.0},\n\
-         {indent}\"dispersive_allocs_per_event\": {:.3},\n\
-         {indent}\"schbench_events_per_sec\": {:.0},\n\
-         {indent}\"schbench_allocs_per_event\": {:.3}",
-        disp.events_per_sec(),
-        disp.allocs_per_event(),
-        sch.events_per_sec(),
-        sch.allocs_per_event()
-    )
-}
-
-fn write_baseline(disp: &Sample, sch: &Sample) {
-    let path = baseline_path();
-    let existing = std::fs::read_to_string(&path).unwrap_or_default();
-    // Keep the recorded pre-change numbers if present; otherwise this IS
-    // the pre-change measurement.
-    let pre = [
-        "dispersive_events_per_sec",
-        "dispersive_allocs_per_event",
-        "schbench_events_per_sec",
-        "schbench_allocs_per_event",
-    ]
-    .iter()
-    .map(|k| {
-        let v = extract(&existing, "pre_change", k).unwrap_or_else(|| match *k {
-            "dispersive_events_per_sec" => disp.events_per_sec(),
-            "dispersive_allocs_per_event" => disp.allocs_per_event(),
-            "schbench_events_per_sec" => sch.events_per_sec(),
-            _ => sch.allocs_per_event(),
-        });
-        if k.ends_with("events_per_sec") {
-            format!("    \"{k}\": {v:.0}")
-        } else {
-            format!("    \"{k}\": {v:.3}")
-        }
-    })
-    .collect::<Vec<_>>()
-    .join(",\n");
-    let json = format!(
-        "{{\n  \"schema\": 1,\n  \"bench\": \"simbench\",\n  \"pre_change\": {{\n{pre}\n  }},\n  \"current\": {{\n{cur}\n  }}\n}}\n",
-        cur = engine_json(disp, sch, "    ")
-    );
-    match std::fs::write(&path, json) {
-        Ok(()) => eprintln!("simbench: wrote {}", path.display()),
-        Err(e) => eprintln!("simbench: failed to write {}: {e}", path.display()),
-    }
-}
-
-fn check_baseline(disp: &Sample, sch: &Sample) -> bool {
-    let path = baseline_path();
-    let Ok(json) = std::fs::read_to_string(&path) else {
-        eprintln!(
-            "simbench: no baseline at {} — nothing to check against",
-            path.display()
-        );
-        return true;
-    };
-    let mut ok = true;
-    for (key, measured) in [
-        ("dispersive_events_per_sec", disp.events_per_sec()),
-        ("schbench_events_per_sec", sch.events_per_sec()),
-    ] {
-        let Some(base) = extract(&json, "current", key) else {
-            continue;
-        };
-        let floor = base * 0.7;
-        if measured < floor {
-            eprintln!(
-                "simbench: REGRESSION on {key}: measured {measured:.0} < 70% of baseline {base:.0}"
-            );
-            ok = false;
-        } else {
-            eprintln!("simbench: {key} {measured:.0} vs baseline {base:.0} — ok");
-        }
-    }
-    ok
-}
-
 fn main() {
     // `--trace` is accepted (and ignored) for CLI uniformity with the
-    // figure binaries; consume it so flag parsing below stays simple.
+    // figure binaries.
     let _ = trace_arg();
-    let args = skyloft_bench::positional_args();
-    let write = args.iter().any(|a| a == "--write");
-    let check = args.iter().any(|a| a == "--check");
+    let flags = Flags::parse();
+    let mut gate = Gate::new("simbench", "BENCH_sim.json", flags);
 
     // Five samples per workload: the recorded figure is the engine's
     // peak, and on a shared box the scheduler-noise floor swallows two
     // samples too often for best-of-2 to find it.
     eprintln!("simbench: measuring dispersive workload...");
-    let disp = best_of(5, run_dispersive);
+    let disp = best_of(5, run_dispersive, Sample::events_per_sec);
     eprintln!("simbench: measuring schbench workload...");
-    let sch = best_of(5, run_schbench);
+    let sch = best_of(5, run_schbench, Sample::events_per_sec);
 
     let mut t = Table::new(&[
         "workload",
@@ -258,10 +149,30 @@ fn main() {
         sch.events_per_sec()
     );
 
-    if write {
-        write_baseline(&disp, &sch);
-    }
-    if check && !check_baseline(&disp, &sch) {
-        std::process::exit(1);
-    }
+    gate.upsert(
+        "current",
+        format!(
+            "    \"dispersive_events_per_sec\": {:.0},\n    \
+             \"dispersive_allocs_per_event\": {:.3},\n    \
+             \"schbench_events_per_sec\": {:.0},\n    \
+             \"schbench_allocs_per_event\": {:.3}",
+            disp.events_per_sec(),
+            disp.allocs_per_event(),
+            sch.events_per_sec(),
+            sch.allocs_per_event()
+        ),
+    );
+    gate.at_least(
+        "current",
+        "dispersive_events_per_sec",
+        disp.events_per_sec(),
+        0.7,
+    );
+    gate.at_least(
+        "current",
+        "schbench_events_per_sec",
+        sch.events_per_sec(),
+        0.7,
+    );
+    gate.finish();
 }

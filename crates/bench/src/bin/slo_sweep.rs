@@ -15,7 +15,8 @@
 //! the degenerate empty-schedule path through the tenant installer.
 //!
 //! Results go to `results/slo_sweep.csv`; `--write` records the gate
-//! metrics as the `slo_sweep` section of the repo-root `BENCH_net.json`;
+//! metrics as the `slo_sweep` section of the repo-root `BENCH_net.json`
+//! (canonical runs only);
 //! `--check` gates CI on the isolation shape plus a regression bound
 //! against the stored LC goodput; `--smoke` shortens the windows to the
 //! CI configuration; `--seed N` reseeds machine and generators (CI runs
@@ -27,8 +28,8 @@ use skyloft::machine::{AppKind, Event, Machine, MachineConfig};
 use skyloft::Platform;
 use skyloft_apps::harness::{par_map, sweep_threads, trace_arg};
 use skyloft_apps::synthetic::{install_tenants, OverloadControl, Tenant};
-use skyloft_bench::baseline::{extract, net_baseline_path, upsert_section};
-use skyloft_bench::{out, scaled};
+use skyloft_bench::baseline::Gate;
+use skyloft_bench::{out, scaled, Flags};
 use skyloft_hw::Topology;
 use skyloft_metrics::Table;
 use skyloft_net::dataplane::NicConfig;
@@ -232,94 +233,76 @@ fn series_json(solo: &SloPoint, points: &[SloPoint], indent: &str) -> String {
     )
 }
 
-fn check(solo: &SloPoint, points: &[SloPoint]) -> bool {
-    let mut ok = true;
+/// The gate: (1)-(4) are the isolation shape, (5) a regression bound
+/// vs the stored LC goodput.
+fn check(gate: &mut Gate, solo: &SloPoint, points: &[SloPoint]) {
     // (1) The solo plateau is a real plateau: alone at half capacity,
     // nearly every offered LC request completes inside its SLO.
-    if solo.lc_goodput_rps < 0.9 * LC_RATE {
-        eprintln!(
-            "slo_sweep: FAIL — solo LC goodput {:.0} rps below 90% of the {LC_RATE:.0} rps offered",
+    gate.require(
+        solo.lc_goodput_rps >= 0.9 * LC_RATE,
+        format_args!(
+            "solo LC goodput {:.0} rps >= 90% of the {LC_RATE:.0} rps offered",
             solo.lc_goodput_rps
-        );
-        ok = false;
-    }
+        ),
+    );
     // (2) Class isolation: under 2x and 3x mixed overload the LC tenant
     // keeps at least 90% of its solo plateau.
     for (name, p) in [("2x", &points[TWO_X]), ("3x", &points[THREE_X])] {
-        if p.lc_goodput_rps < 0.90 * solo.lc_goodput_rps {
-            eprintln!(
-                "slo_sweep: FAIL — LC goodput at {name} {:.0} rps below 90% of solo {:.0} rps",
+        gate.require(
+            p.lc_goodput_rps >= 0.90 * solo.lc_goodput_rps,
+            format_args!(
+                "LC goodput at {name} {:.0} rps >= 90% of solo {:.0} rps",
                 p.lc_goodput_rps, solo.lc_goodput_rps
-            );
-            ok = false;
-        }
+            ),
+        );
         // (3) The overload is paid by the batch class: batch requests are
         // shed (at admission or by the scheduler-side AQM backstop),
         // never the LC class, and batch's loss fraction dominates LC's.
-        if p.adm_sheds[1] + p.rq_sheds == 0 {
-            eprintln!("slo_sweep: FAIL — no batch request shed at {name}");
-            ok = false;
-        }
-        if p.lc_rq_sheds != 0 {
-            eprintln!(
-                "slo_sweep: FAIL — {} LC requests scheduler-shed at {name}; LC is never sheddable",
+        gate.require(
+            p.adm_sheds[1] + p.rq_sheds > 0,
+            format_args!(
+                "batch requests shed at {name} ({} admission, {} runqueue)",
+                p.adm_sheds[1], p.rq_sheds
+            ),
+        );
+        gate.require(
+            p.lc_rq_sheds == 0,
+            format_args!(
+                "{} LC requests scheduler-shed at {name}; LC is never sheddable",
                 p.lc_rq_sheds
-            );
-            ok = false;
-        }
-        if p.batch_loss_frac <= p.lc_loss_frac {
-            eprintln!(
-                "slo_sweep: FAIL — batch not shed first at {name}: batch loss {:.3} vs lc {:.3}",
+            ),
+        );
+        gate.require(
+            p.batch_loss_frac > p.lc_loss_frac,
+            format_args!(
+                "batch shed first at {name}: batch loss {:.3} vs lc {:.3}",
                 p.batch_loss_frac, p.lc_loss_frac
-            );
-            ok = false;
-        }
+            ),
+        );
     }
     // (4) Below saturation nothing is scheduler-shed: the class stack is
     // inert when there is no overload to degrade gracefully.
-    if points[0].rq_sheds > 0 {
-        eprintln!(
-            "slo_sweep: FAIL — {} runqueue sheds at 0.5x (no overload to shed)",
+    gate.require(
+        points[0].rq_sheds == 0,
+        format_args!(
+            "{} runqueue sheds at 0.5x (no overload to shed)",
             points[0].rq_sheds
-        );
-        ok = false;
-    }
-    // (5) Regression bound vs the stored LC goodput, if present.
-    if let Ok(json) = std::fs::read_to_string(net_baseline_path()) {
-        if let Some(base) = extract(&json, "slo_sweep", "lc_goodput_2x_rps") {
-            let got = points[TWO_X].lc_goodput_rps;
-            if got < base * 0.9 {
-                eprintln!(
-                    "slo_sweep: REGRESSION — LC goodput at 2x {got:.0} rps vs baseline {base:.0} rps"
-                );
-                ok = false;
-            } else {
-                eprintln!(
-                    "slo_sweep: LC goodput at 2x {got:.0} rps vs baseline {base:.0} rps — ok"
-                );
-            }
-        }
-    } else {
-        eprintln!(
-            "slo_sweep: no baseline at {} — semantic checks only",
-            net_baseline_path().display()
-        );
-    }
-    ok
+        ),
+    );
+    // (5) Regression bound vs the stored LC goodput.
+    gate.at_least(
+        "slo_sweep",
+        "lc_goodput_2x_rps",
+        points[TWO_X].lc_goodput_rps,
+        0.9,
+    );
 }
 
 fn main() {
     let _ = trace_arg();
-    let args = skyloft_bench::positional_args();
-    let write = args.iter().any(|a| a == "--write");
-    let do_check = args.iter().any(|a| a == "--check");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0x510_C1A5); // "slo-clas"
+    let flags = Flags::parse();
+    let (smoke, seed) = (flags.smoke, flags.seed.unwrap_or(0x510_C1A5)); // "slo-clas"
+    let mut gate = Gate::new("slo_sweep", "BENCH_net.json", flags);
 
     eprintln!("slo_sweep: measuring the LC tenant's solo plateau (seed {seed})...");
     let solo = run_point(0.5, true, seed, smoke);
@@ -382,14 +365,7 @@ fn main() {
         p2.lc_p99_us
     );
 
-    if write {
-        let path = net_baseline_path();
-        match upsert_section(&path, "slo_sweep", &series_json(&solo, &points, "    ")) {
-            Ok(()) => eprintln!("slo_sweep: wrote {}", path.display()),
-            Err(e) => eprintln!("slo_sweep: failed to write {}: {e}", path.display()),
-        }
-    }
-    if do_check && !check(&solo, &points) {
-        std::process::exit(1);
-    }
+    gate.upsert("slo_sweep", series_json(&solo, &points, "    "));
+    check(&mut gate, &solo, &points);
+    gate.finish();
 }

@@ -15,105 +15,8 @@ use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex};
 use std::time::Instant;
 
 use skyloft_bench::out;
+use skyloft_bench::threadops::{self, ns_per};
 use skyloft_metrics::Table;
-use skyloft_uthread::{spawn, yield_now, Condvar, Mutex, Runtime};
-
-fn ns_per(total: std::time::Duration, iters: u64) -> f64 {
-    total.as_nanos() as f64 / iters as f64
-}
-
-fn uthread_yield_ns(iters: u64) -> f64 {
-    let out = Arc::new(StdMutex::new(0.0));
-    let o = out.clone();
-    Runtime::run(1, move || {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            yield_now();
-        }
-        *o.lock().unwrap() = ns_per(t0.elapsed(), iters);
-    });
-    let v = *out.lock().unwrap();
-    v
-}
-
-fn uthread_spawn_ns(iters: u64) -> f64 {
-    let out = Arc::new(StdMutex::new(0.0));
-    let o = out.clone();
-    Runtime::run(1, move || {
-        // Warm the stack pool so the steady-state (recycled-stack) spawn
-        // cost is measured, as in the paper's pooled runtime.
-        let warm: Vec<_> = (0..64).map(|_| spawn(|| {})).collect();
-        for h in warm {
-            h.join();
-        }
-        let t0 = Instant::now();
-        let mut handles = Vec::with_capacity(iters as usize);
-        for _ in 0..iters {
-            handles.push(spawn(|| {}));
-        }
-        let spawn_time = t0.elapsed();
-        for h in handles {
-            h.join();
-        }
-        *o.lock().unwrap() = ns_per(spawn_time, iters);
-    });
-    let v = *out.lock().unwrap();
-    v
-}
-
-fn uthread_mutex_ns(iters: u64) -> f64 {
-    let out = Arc::new(StdMutex::new(0.0));
-    let o = out.clone();
-    Runtime::run(1, move || {
-        let m = Mutex::new(0u64);
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            *m.lock() += 1;
-        }
-        *o.lock().unwrap() = ns_per(t0.elapsed(), iters);
-    });
-    let v = *out.lock().unwrap();
-    v
-}
-
-fn uthread_condvar_ns(iters: u64) -> f64 {
-    let out = Arc::new(StdMutex::new(0.0));
-    let o = out.clone();
-    Runtime::run(1, move || {
-        let m = Arc::new(Mutex::new(false));
-        let cv = Arc::new(Condvar::new());
-        let (m2, cv2) = (m.clone(), cv.clone());
-        let pong = spawn(move || {
-            for _ in 0..iters {
-                let mut g = m2.lock();
-                while !*g {
-                    g = cv2.wait(g);
-                }
-                *g = false;
-                drop(g);
-                cv2.notify_one();
-            }
-        });
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            let mut g = m.lock();
-            *g = true;
-            drop(g);
-            cv.notify_one();
-            let mut g = m.lock();
-            while *g {
-                g = cv.wait(g);
-            }
-            drop(g);
-        }
-        let d = t0.elapsed();
-        pong.join();
-        // Two signal+wake handoffs per round.
-        *o.lock().unwrap() = ns_per(d, iters * 2);
-    });
-    let v = *out.lock().unwrap();
-    v
-}
 
 fn pthread_yield_ns(iters: u64) -> f64 {
     let t0 = Instant::now();
@@ -202,7 +105,7 @@ fn main() {
     eprintln!("[tab7] pthread yield");
     let y_p = pthread_yield_ns(30_000);
     eprintln!("[tab7] uthread yield");
-    let y_u = uthread_yield_ns(200_000);
+    let y_u = threadops::yield_ns(200_000);
     t.row_owned(vec![
         "Yield".into(),
         format!("{y_p:.0}"),
@@ -212,7 +115,7 @@ fn main() {
     eprintln!("[tab7] pthread spawn");
     let s_p = pthread_spawn_ns(1_000);
     eprintln!("[tab7] uthread spawn");
-    let s_u = uthread_spawn_ns(50_000);
+    let s_u = threadops::spawn_ns(50_000);
     t.row_owned(vec![
         "Spawn".into(),
         format!("{s_p:.0}"),
@@ -222,7 +125,7 @@ fn main() {
     eprintln!("[tab7] pthread mutex");
     let m_p = pthread_mutex_ns(1_000_000);
     eprintln!("[tab7] uthread mutex");
-    let m_u = uthread_mutex_ns(1_000_000);
+    let m_u = threadops::mutex_ns(1_000_000);
     t.row_owned(vec![
         "Mutex".into(),
         format!("{m_p:.0}"),
@@ -232,7 +135,7 @@ fn main() {
     eprintln!("[tab7] pthread condvar");
     let c_p = pthread_condvar_ns(5_000);
     eprintln!("[tab7] uthread condvar");
-    let c_u = uthread_condvar_ns(50_000);
+    let c_u = threadops::condvar_ns(50_000);
     t.row_owned(vec![
         "Condvar".into(),
         format!("{c_p:.0}"),

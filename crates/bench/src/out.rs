@@ -13,20 +13,10 @@ pub fn results_dir() -> PathBuf {
     PathBuf::from(root)
 }
 
-/// Whether a run with these arguments and [`crate::fast_factor`] is
-/// canonical: full windows (no `SKYLOFT_FAST`), the default seed (no
-/// `--seed`) and no `--smoke`. Only canonical runs reproduce the goldens.
-fn canonical(args: &[String], fast: Option<u64>) -> bool {
-    fast.is_none()
-        && !args
-            .iter()
-            .any(|a| a == "--smoke" || a == "--seed" || a.starts_with("--seed="))
-}
-
-/// Where [`emit`] writes: [`results_dir`] for canonical runs, else a
-/// scratch directory under `target/`, so a smoke or reseeded run can
-/// never overwrite a golden.
-fn csv_dir(canonical: bool) -> PathBuf {
+/// Where [`emit`] writes: [`results_dir`] for canonical runs (see
+/// [`crate::Flags::canonical`]), else a scratch directory under
+/// `target/`, so a smoke or reseeded run can never overwrite a golden.
+pub(crate) fn csv_dir(canonical: bool) -> PathBuf {
     if canonical {
         results_dir()
     } else {
@@ -42,8 +32,7 @@ fn csv_dir(canonical: bool) -> PathBuf {
 pub fn emit(id: &str, heading: &str, table: &Table) {
     println!("== {heading} ==");
     println!("{}", table.render());
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let dir = csv_dir(canonical(&args, crate::fast_factor()));
+    let dir = csv_dir(crate::Flags::parse().canonical());
     if fs::create_dir_all(&dir).is_ok() {
         let path = dir.join(format!("{id}.csv"));
         if let Err(e) = fs::write(&path, table.to_csv()) {
@@ -91,13 +80,6 @@ mod tests {
 
     #[test]
     fn only_canonical_runs_write_results() {
-        let args = |v: &[&str]| v.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        assert!(canonical(&args(&[]), None));
-        assert!(canonical(&args(&["--check", "--trace", "t.json"]), None));
-        assert!(!canonical(&args(&["--smoke"]), None));
-        assert!(!canonical(&args(&["--seed", "7"]), None));
-        assert!(!canonical(&args(&["--seed=7"]), None));
-        assert!(!canonical(&args(&[]), Some(10)));
         assert_eq!(csv_dir(true), results_dir());
         let scratch = csv_dir(false);
         assert_ne!(scratch, results_dir());
