@@ -70,7 +70,7 @@ mod tests {
             let at = Nanos::from_us(50 * i);
             q.schedule(
                 at,
-                Event::Call(skyloft::Call(Box::new(move |m, q| {
+                Event::Call(skyloft::Call::Fn(Box::new(move |m, q| {
                     m.spawn_request(q, 0, Nanos::from_us(20), 0, None);
                 }))),
             );

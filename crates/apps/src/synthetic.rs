@@ -26,9 +26,10 @@
 //! omitting the wire understated every latency figure by ~2 μs.
 
 use std::cell::RefCell;
+use std::mem;
 use std::rc::Rc;
 
-use skyloft::machine::{Call, Event, Machine, NetTrace, Recur};
+use skyloft::machine::{Call, CallSink, Event, Machine, NetTrace, Recur};
 use skyloft::stats::class_slot;
 use skyloft::task::RequestMeta;
 use skyloft::SpawnOpts;
@@ -243,7 +244,7 @@ fn schedule_next_direct(
                 let service = req.service;
                 q.schedule_after(
                     timeout,
-                    Event::Call(Call(Box::new(move |m: &mut Machine, _q| {
+                    Event::Call(Call::Fn(Box::new(move |m: &mut Machine, _q| {
                         m.stats.record_timeout(class, timeout, service);
                     }))),
                 );
@@ -282,7 +283,7 @@ fn schedule_next_direct(
                     let service = req.service;
                     q.schedule_after(
                         stagger,
-                        Event::Call(Call(Box::new(move |m: &mut Machine, q| {
+                        Event::Call(Call::Fn(Box::new(move |m: &mut Machine, q| {
                             let body = m.pooled_oneshot(service + overhead);
                             m.spawn(
                                 q,
@@ -406,9 +407,85 @@ impl RetryState {
     }
 }
 
+/// A data-plane event in flight: the payload a [`Call::Sink`] token of
+/// the [`Plane`] names while the event waits in the queue.
+enum PlaneEv {
+    /// A datagram reaches the NIC ([`nic_rx`]).
+    Wire(Pkt),
+    /// A poll round's admitted burst reaches its ring's worker
+    /// ([`hand_off`]).
+    Handoff { ring: usize, pkts: Vec<Pkt> },
+    /// A lost attempt's client timeout fires ([`lose_attempt`]).
+    Loss(Pkt),
+    /// A wedged indirection entry gets its original ring back.
+    Restore { entry: usize, old: u16 },
+}
+
+/// Parked [`PlaneEv`]s, indexed by token. Redeemed slots go on the free
+/// list and are reused, so at steady state parking allocates nothing.
+#[derive(Default)]
+struct Slab {
+    slots: Vec<Option<PlaneEv>>,
+    free: Vec<u32>,
+}
+
+impl Slab {
+    fn park(&mut self, ev: PlaneEv) -> u32 {
+        match self.free.pop() {
+            Some(token) => {
+                self.slots[token as usize] = Some(ev);
+                token
+            }
+            None => {
+                self.slots.push(Some(ev));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    fn take(&mut self, token: u32) -> PlaneEv {
+        let ev = self.slots[token as usize]
+            .take()
+            .expect("a plane token is redeemed exactly once");
+        self.free.push(token);
+        ev
+    }
+}
+
+/// One installed NIC data plane: the [`CallSink`] that every wire,
+/// handoff, loss and restore event of the plane fires into.
+struct Plane(RefCell<PlaneState>);
+
+impl Plane {
+    /// Parks `ev` in the slab and returns the queue event that redeems it.
+    fn event(self: &Rc<Self>, s: &mut PlaneState, ev: PlaneEv) -> Event {
+        Event::Call(Call::Sink(self.clone(), s.slab.park(ev)))
+    }
+}
+
+impl CallSink for Plane {
+    fn fire(self: Rc<Self>, m: &mut Machine, q: &mut EventQueue<Event>, token: u32) {
+        let ev = self.0.borrow_mut().slab.take(token);
+        match ev {
+            PlaneEv::Wire(pkt) => nic_rx(m, q, &self, pkt),
+            PlaneEv::Handoff { ring, mut pkts } => {
+                hand_off(m, q, ring, &mut pkts);
+                self.0.borrow_mut().spare.push(pkts);
+            }
+            PlaneEv::Loss(pkt) => lose_attempt(m, q, &self, pkt),
+            PlaneEv::Restore { entry, old } => {
+                let mut s = self.0.borrow_mut();
+                let mut table = *s.nic.hasher().indirection();
+                table[entry] = old;
+                s.nic.hasher_mut().set_indirection(table);
+            }
+        }
+    }
+}
+
 /// Driver state shared between the arrival chain, the in-flight wire
 /// events, and the polling core. One per installed load; the simulation
-/// is single-threaded, so `Rc<RefCell<..>>` suffices.
+/// is single-threaded, so a `RefCell` inside the [`Plane`] suffices.
 struct PlaneState {
     nic: MultiQueueNic<Pkt>,
     /// Packets handed to each worker core since install; `handed[c] -
@@ -438,6 +515,14 @@ struct PlaneState {
     /// [`nic_rx`] steers by cached hash through the live indirection
     /// table.
     flow_cache: FlowHashCache,
+    /// Payloads of the plane's events waiting in the queue.
+    slab: Slab,
+    /// Emptied handoff bursts, reused by later poll rounds.
+    spare: Vec<Vec<Pkt>>,
+    /// Poll-round scratch (`mem::take`n around the round): the packets a
+    /// ring drain kept, and those its drop law shed.
+    batch: Vec<(Nanos, Pkt)>,
+    shed: Vec<Pkt>,
 }
 
 /// Installs an open-loop arrival process routed through an explicitly
@@ -505,6 +590,19 @@ pub fn install_tenants(
     net: Option<NetProfile>,
     ctl: OverloadControl,
 ) {
+    install_plane(q, tenants, cfg, until, net, ctl);
+}
+
+/// [`install_tenants`], returning the plane it built (installed only if
+/// some tenant generates a request).
+fn install_plane(
+    q: &mut EventQueue<Event>,
+    tenants: Vec<Tenant>,
+    cfg: NicConfig,
+    until: Nanos,
+    net: Option<NetProfile>,
+    ctl: OverloadControl,
+) -> Rc<Plane> {
     let timeout = ctl
         .retry
         .map(|r| r.timeout)
@@ -529,7 +627,7 @@ pub fn install_tenants(
         }
         _ => None,
     };
-    let st = Rc::new(RefCell::new(PlaneState {
+    let plane = Rc::new(Plane(RefCell::new(PlaneState {
         handed: vec![0; nic.n_rings()],
         nic,
         wire_rng: Rng::seed_from_u64(WIRE_SEED),
@@ -546,30 +644,36 @@ pub fn install_tenants(
         loss_pending: 0,
         stick_seq: 0,
         flow_cache: FlowHashCache::new(),
-    }));
+        slab: Slab::default(),
+        spare: Vec::new(),
+        batch: Vec::new(),
+        shed: Vec::new(),
+    })));
 
     // One arrival chain per tenant, all feeding the shared plane; the
     // poller starts one interval after the earliest first arrival.
     let mut earliest: Option<Nanos> = None;
     for tenant in tenants {
-        if let Some(first_at) = install_tenant_chain(q, tenant, until, net.clone(), &st) {
-            st.borrow_mut().gens_live += 1;
+        if let Some(first_at) = install_tenant_chain(q, tenant, until, net.clone(), &plane) {
+            plane.0.borrow_mut().gens_live += 1;
             earliest = Some(earliest.map_or(first_at, |e| e.min(first_at)));
         }
     }
     // Every tenant degenerate (zero rate, or first arrival past the
     // horizon): nothing to poll for, install nothing.
-    let Some(first_at) = earliest else { return };
+    let Some(first_at) = earliest else {
+        return plane;
+    };
 
     // The polling core: visits the rings every poll_interval, drains a
     // burst from each ring whose worker has room (shedding what the drop
     // law or the admission deadline says to), and hands the burst over
     // once the per-packet poll cost has been paid on the (serial)
     // polling core.
-    let st_poll = st;
+    let st_poll = plane.clone();
     let poller = move |m: &mut Machine, q: &mut EventQueue<Event>| {
         let now = q.now();
-        let mut s = st_poll.borrow_mut();
+        let mut s = st_poll.0.borrow_mut();
         if s.gens_live == 0
             && s.wire_pending == 0
             && s.loss_pending == 0
@@ -608,6 +712,8 @@ pub fn install_tenants(
         }
         let mut worst_sojourn = Nanos::ZERO;
         let mut backpressured = false;
+        let mut batch = mem::take(&mut s.batch);
+        let mut shed = mem::take(&mut s.shed);
         for ring in 0..s.nic.n_rings() {
             m.stats.rx_occ_hist.record(s.nic.occupancy(ring) as u64);
             if let Some(sojourn) = s.nic.oldest_sojourn(ring, now) {
@@ -623,10 +729,8 @@ pub fn install_tenants(
                 backpressured = true;
                 continue; // backpressure: leave packets in the ring
             }
-            let mut batch = Vec::with_capacity(take);
-            let mut shed = Vec::new();
             let k = s.nic.drain(now, ring, take, &mut batch, &mut shed);
-            for pkt in shed {
+            for pkt in shed.drain(..) {
                 if pkt.attempt == 0 {
                     let c = class_slot(pkt.class);
                     m.stats.aqm_drops += 1;
@@ -649,8 +753,8 @@ pub fn install_tenants(
             // a perturbed poller (whose handoffs run late) sheds
             // borderline requests it can no longer save.
             let nic_cost = s.nic.poll_cost(ring);
-            let mut admitted: Vec<Pkt> = Vec::with_capacity(k);
-            for (_, pkt) in batch {
+            let mut admitted = s.spare.pop().unwrap_or_default();
+            for (_, pkt) in batch.drain(..) {
                 let doomed = match s.admission.as_ref() {
                     // Class-aware: judged against the request's own
                     // class deadline and that class's service estimate
@@ -707,46 +811,23 @@ pub fn install_tenants(
                 }
             }
             if admitted.is_empty() {
+                s.spare.push(admitted);
                 continue;
             }
             s.handed[ring] += admitted.len() as u64;
             let handoff = s.nic.poller_admit_on(now, ring, k, extra);
             m.note_net(now, Some(ring), NetTrace::RxPoll);
-            q.schedule(
-                handoff,
-                Event::Call(Call(Box::new(move |m: &mut Machine, q| {
-                    for pkt in admitted {
-                        if pkt.attempt == 0 {
-                            let c = class_slot(pkt.class);
-                            m.stats.net_in_flight -= 1;
-                            m.stats.in_flight_by_class[c] -= 1;
-                            m.stats.net_delivered += 1;
-                            m.stats.delivered_by_class[c] += 1;
-                        }
-                        let body = m.pooled_oneshot(pkt.service + stack_overhead());
-                        // The forward wire and all queueing are physical
-                        // on this path; backdating covers only the
-                        // response's return transit.
-                        let req = (!pkt.copy).then(|| RequestMeta {
-                            arrival: pkt.send.saturating_sub(WIRE_LATENCY),
-                            service: pkt.service,
-                            class: pkt.class,
-                        });
-                        m.spawn(
-                            q,
-                            body,
-                            SpawnOpts {
-                                app: pkt.app,
-                                pin: Some(ring),
-                                req,
-                                weight: 1024,
-                                record_wakeup: false,
-                            },
-                        );
-                    }
-                }))),
+            let ev = st_poll.event(
+                &mut s,
+                PlaneEv::Handoff {
+                    ring,
+                    pkts: admitted,
+                },
             );
+            q.schedule(handoff, ev);
         }
+        s.batch = batch;
+        s.shed = shed;
         m.note_overload_sample(now, worst_sojourn, backpressured);
         Some(now + poll_interval)
     };
@@ -754,6 +835,41 @@ pub fn install_tenants(
         first_at + poll_interval,
         Event::Recur(Recur(Box::new(poller))),
     );
+    plane
+}
+
+/// A poll round's admitted burst reaches its ring's worker: each packet
+/// spawns as a request task pinned to the ring's core. Leaves `pkts`
+/// empty for reuse.
+fn hand_off(m: &mut Machine, q: &mut EventQueue<Event>, ring: usize, pkts: &mut Vec<Pkt>) {
+    for pkt in pkts.drain(..) {
+        if pkt.attempt == 0 {
+            let c = class_slot(pkt.class);
+            m.stats.net_in_flight -= 1;
+            m.stats.in_flight_by_class[c] -= 1;
+            m.stats.net_delivered += 1;
+            m.stats.delivered_by_class[c] += 1;
+        }
+        let body = m.pooled_oneshot(pkt.service + stack_overhead());
+        // The forward wire and all queueing are physical on this path;
+        // backdating covers only the response's return transit.
+        let req = (!pkt.copy).then(|| RequestMeta {
+            arrival: pkt.send.saturating_sub(WIRE_LATENCY),
+            service: pkt.service,
+            class: pkt.class,
+        });
+        m.spawn(
+            q,
+            body,
+            SpawnOpts {
+                app: pkt.app,
+                pin: Some(ring),
+                req,
+                weight: 1024,
+                record_wakeup: false,
+            },
+        );
+    }
 }
 
 /// Installs one tenant's arrival chain: a self-rescheduling Recur
@@ -766,7 +882,7 @@ fn install_tenant_chain(
     tenant: Tenant,
     until: Nanos,
     mut net: Option<NetProfile>,
-    st: &Rc<RefCell<PlaneState>>,
+    st: &Rc<Plane>,
 ) -> Option<Nanos> {
     let Tenant {
         mut gen,
@@ -798,7 +914,7 @@ fn install_tenant_chain(
         {
             // Every offered request refills the retry budget, whatever
             // its fate — the budget tracks offered load, not successes.
-            let mut s = st_arr.borrow_mut();
+            let mut s = st_arr.0.borrow_mut();
             if let Some(r) = s.retry.as_mut() {
                 r.on_request(req_class);
             }
@@ -819,7 +935,7 @@ fn install_tenant_chain(
                     copy: false,
                     attempt: 0,
                 };
-                let mut s = st_arr.borrow_mut();
+                let mut s = st_arr.0.borrow_mut();
                 client_loss(q, &st_arr, &mut s, pkt);
             }
             PacketFate::Deliver | PacketFate::Duplicate => {
@@ -829,7 +945,7 @@ fn install_tenant_chain(
                 } else {
                     1
                 };
-                let mut s = st_arr.borrow_mut();
+                let mut s = st_arr.0.borrow_mut();
                 for copy in 0..copies {
                     // Each datagram — the duplicate included — transits
                     // the wire independently, so copies arrive staggered.
@@ -845,13 +961,8 @@ fn install_tenant_chain(
                         copy: copy == 1,
                         attempt: 0,
                     };
-                    let st_rx = st_arr.clone();
-                    q.schedule_after(
-                        transit,
-                        Event::Call(Call(Box::new(move |m: &mut Machine, q| {
-                            nic_rx(m, q, &st_rx, pkt);
-                        }))),
-                    );
+                    let ev = st_arr.event(&mut s, PlaneEv::Wire(pkt));
+                    q.schedule_after(transit, ev);
                 }
             }
         }
@@ -859,7 +970,7 @@ fn install_tenant_chain(
             Some(next) => {
                 let at = base + next.at;
                 if at >= until {
-                    st_arr.borrow_mut().gens_live -= 1;
+                    st_arr.0.borrow_mut().gens_live -= 1;
                     None
                 } else {
                     pending = next;
@@ -867,7 +978,7 @@ fn install_tenant_chain(
                 }
             }
             None => {
-                st_arr.borrow_mut().gens_live -= 1;
+                st_arr.0.borrow_mut().gens_live -= 1;
                 None
             }
         }
@@ -882,8 +993,8 @@ fn install_tenant_chain(
 /// enter the conservation ledger as `net_generated` + `retries_spent`
 /// only: they are a terminal bucket, never double-counted as delivered,
 /// dropped, shed, or in flight.
-fn nic_rx(m: &mut Machine, q: &mut EventQueue<Event>, st: &Rc<RefCell<PlaneState>>, pkt: Pkt) {
-    let mut s = st.borrow_mut();
+fn nic_rx(m: &mut Machine, q: &mut EventQueue<Event>, plane: &Rc<Plane>, pkt: Pkt) {
+    let mut s = plane.0.borrow_mut();
     s.wire_pending -= 1;
     let c = class_slot(pkt.class);
     m.stats.net_generated += 1;
@@ -913,7 +1024,7 @@ fn nic_rx(m: &mut Machine, q: &mut EventQueue<Event>, st: &Rc<RefCell<PlaneState
                 m.stats.rx_drops_by_class[c] += 1;
             }
             m.note_net(now, Some(ring), NetTrace::RxDrop);
-            client_loss(q, st, s, pkt);
+            client_loss(q, plane, s, pkt);
         }
     }
 }
@@ -922,12 +1033,7 @@ fn nic_rx(m: &mut Machine, q: &mut EventQueue<Event>, st: &Rc<RefCell<PlaneState
 /// tail-drop, AQM shed, or admission shed): at the attempt's timeout the
 /// client either spends a retry token and resends, or gives up. Copies
 /// carry no client state, so their loss costs nothing extra.
-fn client_loss(
-    q: &mut EventQueue<Event>,
-    st: &Rc<RefCell<PlaneState>>,
-    s: &mut PlaneState,
-    pkt: Pkt,
-) {
+fn client_loss(q: &mut EventQueue<Event>, plane: &Rc<Plane>, s: &mut PlaneState, pkt: Pkt) {
     if pkt.copy {
         return;
     }
@@ -935,13 +1041,8 @@ fn client_loss(
         s.loss_pending += 1;
     }
     let fires = (pkt.sent_at + s.timeout).max(q.now());
-    let st2 = st.clone();
-    q.schedule(
-        fires,
-        Event::Call(Call(Box::new(move |m: &mut Machine, q| {
-            lose_attempt(m, q, &st2, pkt);
-        }))),
-    );
+    let ev = plane.event(s, PlaneEv::Loss(pkt));
+    q.schedule(fires, ev);
 }
 
 /// An attempt's timeout fired. With budget and attempts remaining, the
@@ -949,13 +1050,8 @@ fn client_loss(
 /// the client gives up and the *cumulative* wait since the original send
 /// enters the latency histograms — under-reporting abandoned requests is
 /// exactly the coordinated-omission trap.
-fn lose_attempt(
-    m: &mut Machine,
-    q: &mut EventQueue<Event>,
-    st: &Rc<RefCell<PlaneState>>,
-    pkt: Pkt,
-) {
-    let mut s = st.borrow_mut();
+fn lose_attempt(m: &mut Machine, q: &mut EventQueue<Event>, plane: &Rc<Plane>, pkt: Pkt) {
+    let mut s = plane.0.borrow_mut();
     if s.retry.is_some() {
         s.loss_pending -= 1;
     }
@@ -970,13 +1066,8 @@ fn lose_attempt(
             let mut p = pkt;
             p.attempt += 1;
             p.sent_at = q.now() + delay;
-            let st2 = st.clone();
-            q.schedule_after(
-                delay + transit,
-                Event::Call(Call(Box::new(move |m: &mut Machine, q| {
-                    nic_rx(m, q, &st2, p);
-                }))),
-            );
+            let ev = plane.event(&mut s, PlaneEv::Wire(p));
+            q.schedule_after(delay + transit, ev);
         }
         None => {
             let waited = q.now().saturating_sub(pkt.send);
@@ -988,28 +1079,15 @@ fn lose_attempt(
 /// A chaos fault wedged an RSS indirection entry: remap it onto ring 0
 /// for `dur`, concentrating that entry's flows, then restore the
 /// original mapping.
-fn wedge_indirection(
-    q: &mut EventQueue<Event>,
-    st: &Rc<RefCell<PlaneState>>,
-    s: &mut PlaneState,
-    dur: Nanos,
-) {
+fn wedge_indirection(q: &mut EventQueue<Event>, plane: &Rc<Plane>, s: &mut PlaneState, dur: Nanos) {
     let entry = (s.stick_seq.wrapping_mul(67) % INDIRECTION_ENTRIES as u64) as usize;
     s.stick_seq += 1;
     let mut table = *s.nic.hasher().indirection();
     let old = table[entry];
     table[entry] = 0;
     s.nic.hasher_mut().set_indirection(table);
-    let st2 = st.clone();
-    q.schedule_after(
-        dur,
-        Event::Call(Call(Box::new(move |_m: &mut Machine, _q| {
-            let mut s = st2.borrow_mut();
-            let mut table = *s.nic.hasher().indirection();
-            table[entry] = old;
-            s.nic.hasher_mut().set_indirection(table);
-        }))),
-    );
+    let ev = plane.event(s, PlaneEv::Restore { entry, old });
+    q.schedule_after(dur, ev);
 }
 
 #[cfg(test)]
@@ -1644,5 +1722,69 @@ mod tests {
             "occ max {}",
             s.rx_occ_hist.max()
         );
+    }
+
+    #[test]
+    fn every_parked_plane_event_is_redeemed_exactly_once() {
+        let cfg = MachineConfig {
+            plat: Platform::skyloft_percpu(Topology::single(3), 100_000),
+            n_workers: 3,
+            seed: 5,
+            core_alloc: None,
+            utimer_period: None,
+        };
+        let mut m = Machine::new(cfg, Box::new(GlobalFifo::new()));
+        m.add_app("kv", AppKind::Lc);
+        // Dropped polls and wedged indirection entries on the data plane.
+        m.install_fault_plan(
+            skyloft::FaultPlan::seeded(11)
+                .drop_rx_polls(0.1)
+                .stuck_indirections(Nanos::from_us(500), Nanos::from_us(200)),
+        );
+        let mut q = EventQueue::new();
+        m.start(&mut q);
+        // 3 workers x 2 us saturate at 1.5M rps; offer 2M through a wire
+        // that drops and duplicates, with retries armed.
+        let gen = OpenLoop::new(
+            2_000_000.0,
+            Distribution::Constant(Nanos::from_us(2)),
+            Nanos::from_us(100),
+            12,
+        );
+        let tenant = Tenant {
+            gen,
+            app: 0,
+            class: None,
+        };
+        let mut nic = NicConfig::for_workers(3);
+        nic.client_timeout = Nanos::from_ms(1);
+        let plane = install_plane(
+            &mut q,
+            vec![tenant],
+            nic,
+            Nanos::from_ms(4),
+            Some(NetProfile::lossy(13, 0.05, 0.05, Nanos::from_ms(1))),
+            OverloadControl::full(),
+        );
+        let table = *plane.0.borrow().nic.hasher().indirection();
+        m.run(&mut q, Nanos::from_ms(40));
+
+        // Every kind was parked: wire transits (and retransmissions),
+        // handoffs, client timeouts, and indirection restores.
+        let st = &m.stats;
+        assert!(st.retries_spent > 0 && st.net_delivered > 0);
+        assert!(st.net_dropped > 0 && st.net_duplicated > 0);
+        let chaos = &m.chaos.as_ref().expect("plan installed").stats;
+        assert!(chaos.indirection_sticks > 0 && chaos.rx_polls_dropped > 0);
+
+        // Drained: every token was redeemed once, no event still holds
+        // the plane, and every wedged entry was restored.
+        let s = plane.0.borrow();
+        assert!(!s.slab.slots.is_empty());
+        assert!(s.slab.slots.iter().all(Option::is_none));
+        assert_eq!(s.slab.free.len(), s.slab.slots.len());
+        assert!(s.spare.iter().all(Vec::is_empty));
+        assert_eq!(Rc::strong_count(&plane), 1);
+        assert_eq!(*s.nic.hasher().indirection(), table);
     }
 }

@@ -149,7 +149,7 @@ fn bench_machine(c: &mut Criterion) {
                 for i in 0..1000u64 {
                     q.schedule(
                         Nanos(i * 1000),
-                        skyloft::Event::Call(skyloft::Call(Box::new(|m, q| {
+                        skyloft::Event::Call(skyloft::Call::Fn(Box::new(|m, q| {
                             m.spawn_request(q, 0, Nanos::from_us(2), 0, None);
                         }))),
                     );

@@ -25,7 +25,9 @@ use crate::conf::RunqueueAqmConfig;
 use crate::task::{AppId, TaskId};
 
 /// The machine-side runqueue AQM: one CoDel controller per application,
-/// plus the per-poll scan scratch (oldest queued task per app).
+/// plus the per-poll scan scratch (oldest queued task per app, and the
+/// victim pools). The scratch keeps its storage from poll to poll, so a
+/// steady-state poll allocates nothing.
 #[derive(Debug)]
 pub struct RunqueueAqm {
     cfg: RunqueueAqmConfig,
@@ -34,6 +36,12 @@ pub struct RunqueueAqm {
     /// Scan scratch: the oldest queued task seen for each app this poll,
     /// with its `runnable_since`.
     oldest: Vec<Option<(TaskId, Nanos)>>,
+    /// Scan scratch: every queued task of each sheddable app with its
+    /// `runnable_since`, oldest first once [`RunqueueAqm::sort_victims`]
+    /// ran, so one poll can serve every drop the law owes.
+    pool: Vec<Vec<(TaskId, Nanos)>>,
+    /// Scan scratch: how many of each app's pool this poll condemned.
+    cursor: Vec<usize>,
 }
 
 impl RunqueueAqm {
@@ -43,6 +51,8 @@ impl RunqueueAqm {
             cfg,
             apps: Vec::new(),
             oldest: Vec::new(),
+            pool: Vec::new(),
+            cursor: Vec::new(),
         }
     }
 
@@ -55,6 +65,12 @@ impl RunqueueAqm {
     pub fn begin_scan(&mut self, n_apps: usize) {
         self.oldest.clear();
         self.oldest.resize(n_apps, None);
+        self.pool.resize_with(n_apps, Vec::new);
+        for p in &mut self.pool {
+            p.clear();
+        }
+        self.cursor.clear();
+        self.cursor.resize(n_apps, 0);
         self.grow(n_apps);
     }
 
@@ -65,6 +81,43 @@ impl RunqueueAqm {
         if slot.is_none_or(|(_, s)| since < s) {
             *slot = Some((task, since));
         }
+    }
+
+    /// Adds one queued task of a sheddable app to that app's victim pool.
+    pub fn offer_victim(&mut self, app: AppId, task: TaskId, since: Nanos) {
+        self.pool[app].push((task, since));
+    }
+
+    /// Orders every victim pool oldest first. The sort is stable: tasks
+    /// queued at the same instant keep their scan order, which is part of
+    /// victim selection.
+    pub fn sort_victims(&mut self) {
+        for p in &mut self.pool {
+            p.sort_by_key(|&(_, since)| since);
+        }
+    }
+
+    /// Condemns the next victim: the oldest not-yet-condemned task of
+    /// `own`'s pool, or with `own` unset, the oldest head of any pool
+    /// (the lowest app wins a tie). `None` when that pool is exhausted.
+    pub fn take_victim(&mut self, own: Option<AppId>) -> Option<TaskId> {
+        let app = match own {
+            Some(app) => app,
+            None => {
+                let mut best: Option<(usize, Nanos)> = None;
+                for (a, p) in self.pool.iter().enumerate() {
+                    if let Some(&(_, s)) = p.get(self.cursor[a]) {
+                        if best.is_none_or(|(_, bs)| s < bs) {
+                            best = Some((a, s));
+                        }
+                    }
+                }
+                best?.0
+            }
+        };
+        let victim = self.pool[app].get(self.cursor[app]).map(|&(t, _)| t);
+        self.cursor[app] += 1;
+        victim
     }
 
     /// The oldest queued task of `app` seen by the current scan, with its
@@ -159,5 +212,28 @@ mod tests {
         assert_eq!(a.app_oldest(1), Some((tid(4), Nanos(50))));
         a.begin_scan(2);
         assert_eq!(a.app_oldest(0), None);
+    }
+
+    #[test]
+    fn victims_come_oldest_first_and_ties_keep_scan_order() {
+        let mut a = RunqueueAqm::new(cfg());
+        a.begin_scan(3);
+        a.offer_victim(1, tid(1), Nanos(300));
+        a.offer_victim(1, tid(2), Nanos(100));
+        a.offer_victim(1, tid(3), Nanos(100));
+        a.offer_victim(2, tid(4), Nanos(200));
+        a.sort_victims();
+        // Any-pool draws take the oldest head; tid 3 ties tid 2 and
+        // follows it.
+        assert_eq!(a.take_victim(None), Some(tid(2)));
+        assert_eq!(a.take_victim(None), Some(tid(3)));
+        assert_eq!(a.take_victim(None), Some(tid(4)));
+        assert_eq!(a.take_victim(Some(1)), Some(tid(1)));
+        assert_eq!(a.take_victim(Some(1)), None);
+        assert_eq!(a.take_victim(None), None);
+        // The next scan starts from full, empty pools.
+        a.begin_scan(3);
+        a.sort_victims();
+        assert_eq!(a.take_victim(Some(0)), None);
     }
 }

@@ -60,7 +60,7 @@ pub use conf::{
     SchedParams, SloClass,
 };
 pub use machine::{
-    AppKind, Call, Event, IpiPurpose, Machine, MachineConfig, NetTrace, Recur, SpawnOpts,
+    AppKind, Call, CallSink, Event, IpiPurpose, Machine, MachineConfig, NetTrace, Recur, SpawnOpts,
 };
 pub use ops::{CoreId, EnqueueFlags, Policy, PolicyKind, SchedEnv};
 pub use stats::Stats;

@@ -16,6 +16,8 @@
 //! delaying the next segment's start, exactly as they would steal time on
 //! real hardware.
 
+use std::rc::Rc;
+
 use skyloft_hw::apic::TIMER_VECTOR;
 use skyloft_hw::costs::{self, CostModel};
 use skyloft_hw::uintr::{Recognition, UittEntry};
@@ -46,16 +48,39 @@ pub const KERNEL_TICK_COST: Nanos = Nanos(791); // KERNEL_IPI.receive cycles @ 2
 /// User vector used for preemption IPIs.
 const PREEMPT_VECTOR: u8 = 1;
 
-/// Signature of a [`Call`] event body.
+/// Signature of a boxed [`Call::Fn`] body.
 pub type CallFn = Box<dyn FnOnce(&mut Machine, &mut EventQueue<Event>)>;
 
-/// A boxed callback event: how workloads (load generators, measurement
-/// phases) hook into the machine without the machine knowing about them.
-pub struct Call(pub CallFn);
+/// The receiver of typed [`Call::Sink`] events: a workload component
+/// (the NIC data plane) that parks each event's payload in storage of its
+/// own and names it by a `u32` token, so scheduling an event allocates
+/// nothing — an `Rc` clone is a reference-count bump.
+pub trait CallSink {
+    /// Redeems `token`: runs the event the sink parked under it.
+    fn fire(self: Rc<Self>, m: &mut Machine, q: &mut EventQueue<Event>, token: u32);
+}
+
+/// An external callback event: how workloads (load generators, the NIC
+/// data plane, measurement phases) hook into the machine without the
+/// machine knowing about them.
+///
+/// Both forms run at the same point of the event order; they differ only
+/// in host cost. Hot paths use [`Call::Sink`]; a payload grows every
+/// queued [`Event`], so a sink event carries a token, never the payload.
+pub enum Call {
+    /// A boxed one-shot closure: one heap allocation per event, for cold
+    /// callers (tests, examples, one-off hooks).
+    Fn(CallFn),
+    /// A typed event: `sink.fire(m, q, token)`. No allocation.
+    Sink(Rc<dyn CallSink>, u32),
+}
 
 impl std::fmt::Debug for Call {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Call(..)")
+        match self {
+            Call::Fn(_) => f.write_str("Call::Fn(..)"),
+            Call::Sink(_, token) => write!(f, "Call::Sink(.., {token})"),
+        }
     }
 }
 
@@ -1041,7 +1066,8 @@ impl Machine {
             Event::RqAqmTick => self.on_rq_aqm_tick(q),
             #[cfg(feature = "chaos")]
             Event::Chaos(ev) => self.on_chaos_event(ev, q),
-            Event::Call(call) => (call.0)(self, q),
+            Event::Call(Call::Fn(f)) => f(self, q),
+            Event::Call(Call::Sink(sink, token)) => sink.fire(self, q, token),
             Event::Recur(mut r) => {
                 if let Some(at) = (r.0)(self, q) {
                     q.schedule(at, Event::Recur(r));
@@ -1443,7 +1469,6 @@ impl Machine {
         // oldest-first so a single tick can serve every drop the control
         // law says is due (the tick is far coarser than per-dequeue CoDel,
         // so one firing may owe several drops).
-        let mut pool: Vec<Vec<(TaskId, Nanos)>> = vec![Vec::new(); self.apps.len()];
         for task in self.tasks.iter() {
             if task.state != TaskState::Runnable || task.shed {
                 continue;
@@ -1458,13 +1483,10 @@ impl Machine {
             }
             aqm.observe(task.app, task.id, task.runnable_since);
             if self.app_sheddable(task.app, sheddable_slo) {
-                pool[task.app].push((task.id, task.runnable_since));
+                aqm.offer_victim(task.app, task.id, task.runnable_since);
             }
         }
-        for p in pool.iter_mut() {
-            p.sort_by_key(|&(_, since)| since);
-        }
-        let mut cursor = vec![0usize; self.apps.len()];
+        aqm.sort_victims();
         let mut worst: Option<Nanos> = None;
         for app in 0..self.apps.len() {
             let Some((_, since)) = aqm.app_oldest(app) else {
@@ -1483,25 +1505,8 @@ impl Machine {
             // app (LC congestion sheds batch first). Out of victims ⇒
             // stop sampling so count doesn't inflate on no-op fires.
             while aqm.on_sample(app, now, sojourn, target) {
-                let victim_app = if self.app_sheddable(app, sheddable_slo) {
-                    Some(app)
-                } else {
-                    let mut best: Option<(usize, Nanos)> = None;
-                    for (a, p) in pool.iter().enumerate() {
-                        if let Some(&(_, s)) = p.get(cursor[a]) {
-                            if best.is_none_or(|(_, bs)| s < bs) {
-                                best = Some((a, s));
-                            }
-                        }
-                    }
-                    best.map(|(a, _)| a)
-                };
-                let victim = victim_app.and_then(|a| {
-                    let v = pool[a].get(cursor[a]).map(|&(t, _)| t);
-                    cursor[a] += 1;
-                    v
-                });
-                let Some(v) = victim else {
+                let own = self.app_sheddable(app, sheddable_slo).then_some(app);
+                let Some(v) = aqm.take_victim(own) else {
                     break;
                 };
                 self.tasks.get_mut(v).shed = true;

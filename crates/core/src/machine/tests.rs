@@ -1,12 +1,17 @@
 //! Machine integration tests: preemption plumbing, multi-application
 //! switching, dispatcher behaviour, core allocation.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use skyloft_hw::Topology;
 use skyloft_sim::{EventQueue, Nanos};
 
 use crate::builtin::{CentralizedFcfs, GlobalFifo};
 use crate::conf::{CoreAllocConfig, Platform};
-use crate::machine::{AppKind, Call, Event, IpiPurpose, Machine, MachineConfig, SpawnOpts};
+use crate::machine::{
+    AppKind, Call, CallSink, Event, IpiPurpose, Machine, MachineConfig, SpawnOpts,
+};
 use crate::ops::{CoreId, EnqueueFlags, Policy, PolicyKind, SchedEnv};
 use crate::task::{Behavior, Step, TaskId, TaskTable};
 
@@ -401,12 +406,38 @@ fn call_events_run() {
     let (mut m, mut q) = percpu_machine(1, Box::new(GlobalFifo::new()));
     q.schedule(
         Nanos::from_us(5),
-        Event::Call(Call(Box::new(|m, q| {
+        Event::Call(Call::Fn(Box::new(|m, q| {
             m.spawn_request(q, 0, Nanos::from_us(1), 0, None);
         }))),
     );
     m.run(&mut q, Nanos::from_ms(1));
     assert_eq!(m.stats.completed, 1);
+}
+
+#[test]
+fn sink_events_fire_with_their_token_in_queue_order() {
+    struct Log(RefCell<Vec<(u64, u32)>>);
+    impl CallSink for Log {
+        fn fire(self: Rc<Self>, _m: &mut Machine, q: &mut EventQueue<Event>, token: u32) {
+            self.0.borrow_mut().push((q.now().0, token));
+        }
+    }
+    let (mut m, mut q) = percpu_machine(1, Box::new(GlobalFifo::new()));
+    let log = Rc::new(Log(RefCell::new(Vec::new())));
+    for (at, token) in [(7, 1), (5, 2), (7, 3)] {
+        q.schedule(Nanos(at), Event::Call(Call::Sink(log.clone(), token)));
+    }
+    m.run(&mut q, Nanos::from_us(1));
+    assert_eq!(*log.0.borrow(), [(5, 2), (7, 1), (7, 3)]);
+    assert_eq!(Rc::strong_count(&log), 1, "fired events release the sink");
+}
+
+/// Every queued event occupies one `Event` in a timing-wheel slot, so its
+/// size is paid per event in flight: a sink payload must stay a token,
+/// never grow the enum.
+#[test]
+fn event_fits_in_32_bytes() {
+    assert!(std::mem::size_of::<Event>() <= 32);
 }
 
 #[test]
@@ -716,7 +747,7 @@ fn batched_run_is_decision_identical_to_serial_handling() {
             let class = (i % 3) as u8;
             q.schedule(
                 at,
-                Event::Call(Call(Box::new(move |m, q| {
+                Event::Call(Call::Fn(Box::new(move |m, q| {
                     m.spawn_request(q, 0, service, class, None);
                 }))),
             );

@@ -47,7 +47,7 @@ fn main() {
         at += Nanos(rng.next_below(2 * gap) + 1);
         q.schedule(
             at,
-            Event::Call(Call(Box::new(|m, q| {
+            Event::Call(Call::Fn(Box::new(|m, q| {
                 m.spawn_request(q, 0, Nanos::from_us(40), 0, None);
             }))),
         );

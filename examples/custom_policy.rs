@@ -124,7 +124,7 @@ fn main() {
         };
         q.schedule(
             at,
-            skyloft::Event::Call(skyloft::Call(Box::new(move |m, q| {
+            skyloft::Event::Call(skyloft::Call::Fn(Box::new(move |m, q| {
                 m.spawn_request(q, 0, service, class, None);
             }))),
         );

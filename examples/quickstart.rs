@@ -52,7 +52,7 @@ fn main() {
         let class = u8::from(service > Nanos::from_us(100));
         q.schedule(
             at,
-            skyloft::Event::Call(skyloft::Call(Box::new(move |m, q| {
+            skyloft::Event::Call(skyloft::Call::Fn(Box::new(move |m, q| {
                 m.spawn_request(q, 0, service, class, None);
             }))),
         );

@@ -114,7 +114,7 @@ fn fault_substitution_rotates_three_apps_on_one_core() {
     for t in [100, 300, 500] {
         q.schedule(
             Nanos::from_us(t),
-            Event::Call(Call(Box::new(|m: &mut Machine, q| {
+            Event::Call(Call::Fn(Box::new(|m: &mut Machine, q| {
                 let injected = m.inject_page_fault(q, 0, Nanos::from_us(50));
                 assert!(injected, "core 0 had no active thread to fault");
             }))),
@@ -156,7 +156,7 @@ fn stalled_worker_runqueue_migrates_to_healthy_siblings() {
     }
     q.schedule(
         Nanos::from_us(50),
-        Event::Call(Call(Box::new(|m: &mut Machine, q| {
+        Event::Call(Call::Fn(Box::new(|m: &mut Machine, q| {
             assert!(m.inject_stall(q, 0, Nanos::from_ms(1)));
         }))),
     );

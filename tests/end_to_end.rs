@@ -79,7 +79,7 @@ fn binding_rule_survives_core_allocation_churn() {
             for i in 0..600 {
                 q.schedule(
                     start + Nanos(i * 30_000),
-                    Event::Call(skyloft::Call(Box::new(|m, q| {
+                    Event::Call(skyloft::Call::Fn(Box::new(|m, q| {
                         m.spawn_request(q, 0, Nanos::from_us(50), 0, None);
                     }))),
                 );
@@ -152,7 +152,7 @@ fn work_stealing_balances_skewed_arrivals() {
     for i in 0..400u64 {
         q.schedule(
             Nanos(i * 2_000),
-            Event::Call(skyloft::Call(Box::new(|m, q| {
+            Event::Call(skyloft::Call::Fn(Box::new(|m, q| {
                 m.spawn_request(q, 0, Nanos::from_us(30), 0, Some(0));
             }))),
         );
@@ -208,7 +208,7 @@ fn cfs_weight_proportional_sharing() {
     for i in 0..500u64 {
         q.schedule(
             Nanos(i * 40_000),
-            Event::Call(skyloft::Call(Box::new(|m, q| {
+            Event::Call(skyloft::Call::Fn(Box::new(|m, q| {
                 m.spawn_request(q, 0, Nanos::from_us(25), 0, None);
             }))),
         );

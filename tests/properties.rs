@@ -290,7 +290,7 @@ proptest! {
             let class = (i % 4) as u8;
             q.schedule(
                 Nanos(arrive),
-                skyloft::machine::Event::Call(Call(Box::new(move |m: &mut Machine, q: &mut EventQueue<skyloft::machine::Event>| {
+                skyloft::machine::Event::Call(Call::Fn(Box::new(move |m: &mut Machine, q: &mut EventQueue<skyloft::machine::Event>| {
                     m.spawn_request(q, 0, Nanos(svc), class, pin);
                 }))),
             );
