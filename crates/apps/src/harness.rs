@@ -15,10 +15,10 @@
 
 use skyloft::machine::{Event, Machine};
 use skyloft_metrics::{LoadPoint, Series};
-use skyloft_net::loadgen::{NetProfile, OpenLoop};
+use skyloft_net::loadgen::OpenLoop;
 use skyloft_sim::{Distribution, EventQueue, Nanos};
 
-use crate::synthetic::{install_open_loop_net, Placement};
+use crate::synthetic::{install_open_loop, Placement};
 
 /// Sweep parameters.
 #[derive(Clone)]
@@ -31,7 +31,8 @@ pub struct SweepSpec {
     pub service: Distribution,
     /// Class threshold (see [`OpenLoop`]).
     pub class_threshold: Nanos,
-    /// Request placement.
+    /// Request placement; [`Placement::Rss`] carries the NIC
+    /// configuration, client timeout included.
     pub placement: Placement,
     /// Target application id.
     pub app: usize,
@@ -47,10 +48,6 @@ pub struct SweepSpec {
     /// keeps every trace instead of the last machine overwriting all the
     /// others (and concurrent sweep threads never share a file).
     pub trace: Option<std::path::PathBuf>,
-    /// Lossy-network profile; `None` models the perfect wire. Timed-out
-    /// requests enter the histograms at the timeout value (see
-    /// [`crate::synthetic::install_open_loop_net`]).
-    pub net: Option<NetProfile>,
 }
 
 impl SweepSpec {
@@ -71,7 +68,6 @@ impl SweepSpec {
             measure: Nanos::from_ms(300),
             seed: SKY_SEED,
             trace: trace_arg(),
-            net: None,
         }
     }
 }
@@ -140,14 +136,7 @@ pub fn run_point(spec: &SweepSpec, rate: f64, build: Builder<'_>) -> LoadPoint {
         spec.seed ^ (rate as u64),
     );
     let end = spec.warmup + spec.measure;
-    install_open_loop_net(
-        &mut q,
-        gen,
-        spec.app,
-        spec.placement.clone(),
-        end,
-        spec.net.clone(),
-    );
+    install_open_loop(&mut q, gen, spec.app, spec.placement.clone(), end);
     m.run(&mut q, spec.warmup);
     m.reset_stats(q.now());
     // Arrivals stop exactly at `end`; requests still in flight then are

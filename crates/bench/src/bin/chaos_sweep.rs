@@ -137,7 +137,7 @@ fn run_cell(arming_drop_p: f64, recovery_on: bool, cfg: &RunCfg) -> Cell {
 /// generated datagram still lands in exactly one terminal bucket, and
 /// the invariant checker stays clean.
 fn dataplane_phase(cfg: &RunCfg) {
-    use skyloft_apps::synthetic::{install_open_loop_ctl, OverloadControl};
+    use skyloft_apps::synthetic::{install_tenants, OverloadControl, Tenant};
     use skyloft_net::dataplane::NicConfig;
 
     const DP_WORKERS: usize = 4;
@@ -171,10 +171,14 @@ fn dataplane_phase(cfg: &RunCfg) {
         dispersive_threshold(),
         cfg.seed ^ 0x0D15_DA7A,
     );
-    install_open_loop_ctl(
-        &mut q,
+    let tenant = Tenant {
         gen,
-        0,
+        app: 0,
+        class: None,
+    };
+    install_tenants(
+        &mut q,
+        vec![tenant],
         NicConfig::for_workers(DP_WORKERS),
         end,
         None,
@@ -191,15 +195,10 @@ fn dataplane_phase(cfg: &RunCfg) {
         cs.rx_polls_delayed,
         cs.indirection_sticks
     );
-    assert_eq!(
-        s.net_generated,
-        s.net_delivered
-            + s.rx_ring_drops
-            + s.aqm_drops
-            + s.admission_sheds
-            + s.net_in_flight
-            + s.retries_spent,
-        "datagram conservation violated under data-plane faults"
+    assert!(
+        s.ledger_violations().is_empty(),
+        "ledger violated under data-plane faults: {:?}",
+        s.ledger_violations()
     );
     assert_eq!(s.net_in_flight, 0, "rings never drained");
     assert!(s.completed > 0, "nothing completed under data-plane faults");

@@ -11,6 +11,7 @@ use skyloft_apps::memcached::{usr_distribution, usr_threshold};
 use skyloft_apps::synthetic::Placement;
 use skyloft_bench::setup::FIG8A_WORKERS;
 use skyloft_bench::{build, out, scaled};
+use skyloft_net::dataplane::NicConfig;
 use skyloft_sim::Nanos;
 
 fn rates() -> Vec<f64> {
@@ -23,7 +24,7 @@ fn rates() -> Vec<f64> {
 fn spec(name: &str) -> SweepSpec {
     SweepSpec {
         class_threshold: usr_threshold(),
-        placement: Placement::Rss { n: FIG8A_WORKERS },
+        placement: Placement::Rss(NicConfig::for_workers(FIG8A_WORKERS)),
         warmup: scaled(Nanos::from_ms(50)),
         measure: scaled(Nanos::from_ms(200)),
         ..SweepSpec::new(name, rates(), usr_distribution())

@@ -14,6 +14,7 @@ use skyloft_apps::synthetic::Placement;
 use skyloft_bench::setup::FIG8B_WORKERS;
 use skyloft_bench::{build, out, scaled};
 use skyloft_metrics::Series;
+use skyloft_net::dataplane::NicConfig;
 use skyloft_sim::Nanos;
 
 fn rates() -> Vec<f64> {
@@ -26,7 +27,7 @@ fn rates() -> Vec<f64> {
 fn spec(name: &str, workers: usize) -> SweepSpec {
     SweepSpec {
         class_threshold: bimodal_threshold(),
-        placement: Placement::Rss { n: workers },
+        placement: Placement::Rss(NicConfig::for_workers(workers)),
         warmup: scaled(Nanos::from_ms(100)),
         measure: scaled(Nanos::from_ms(900)),
         ..SweepSpec::new(name, rates(), bimodal_distribution())

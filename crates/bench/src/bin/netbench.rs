@@ -20,11 +20,12 @@
 
 use skyloft_apps::harness::{par_map, sweep_threads, trace_arg};
 use skyloft_apps::memcached::{usr_distribution, usr_threshold};
-use skyloft_apps::synthetic::{install_open_loop_net, Placement};
+use skyloft_apps::synthetic::{install_open_loop, Placement};
 use skyloft_bench::baseline::Gate;
 use skyloft_bench::{build, out, scaled, Flags};
 use skyloft_metrics::Table;
-use skyloft_net::loadgen::{NetProfile, OpenLoop};
+use skyloft_net::dataplane::NicConfig;
+use skyloft_net::loadgen::OpenLoop;
 use skyloft_sim::Nanos;
 
 const WORKERS: usize = 4;
@@ -69,19 +70,21 @@ fn run_net_point(rate: f64, placement: Placement) -> NetPoint {
     );
     let warmup = scaled(Nanos::from_ms(50));
     let end = warmup + scaled(Nanos::from_ms(200));
-    let net = NetProfile::lossy(0, 0.0, 0.0, TIMEOUT);
-    install_open_loop_net(&mut q, gen, 0, placement, end, Some(net));
+    install_open_loop(&mut q, gen, 0, placement, end);
     m.run(&mut q, warmup);
     m.reset_stats(q.now());
     m.run(&mut q, end);
     let now = q.now();
-    // The conservation invariant must hold on every NIC-routed point: no
-    // datagram may vanish outside the drop counters.
-    assert_eq!(
-        m.stats.net_generated,
-        m.stats.net_delivered + m.stats.rx_ring_drops + m.stats.net_in_flight,
-        "datagram conservation violated at {rate} rps"
+    // The conservation ledger must hold on every NIC-routed point: no
+    // datagram may vanish outside the ring-drop counter (no overload
+    // layer is armed to shed or retry).
+    let s = &m.stats;
+    assert!(
+        s.ledger_violations().is_empty(),
+        "ledger violated at {rate} rps: {:?}",
+        s.ledger_violations()
     );
+    assert_eq!(s.aqm_drops + s.admission_sheds + s.retries_spent, 0);
     let h = &m.stats.resp_hist;
     NetPoint {
         rate,
@@ -126,7 +129,9 @@ fn main() {
     eprintln!("netbench: sweeping direct (pre-change) path...");
     let direct = run_series(&Placement::RssDirect { n: WORKERS });
     eprintln!("netbench: sweeping NIC data plane...");
-    let nic = run_series(&Placement::Rss { n: WORKERS });
+    let mut nic = NicConfig::for_workers(WORKERS);
+    nic.client_timeout = TIMEOUT;
+    let nic = run_series(&Placement::Rss(nic));
 
     let mut t = Table::new(&[
         "offered kRPS",

@@ -25,7 +25,7 @@
 use skyloft::BrownoutConfig;
 use skyloft_apps::harness::{par_map, sweep_threads, trace_arg};
 use skyloft_apps::memcached::{usr_distribution, usr_threshold};
-use skyloft_apps::synthetic::{install_open_loop_ctl, OverloadControl};
+use skyloft_apps::synthetic::{install_tenants, OverloadControl, Tenant};
 use skyloft_bench::baseline::Gate;
 use skyloft_bench::{build, out, scaled, Flags};
 use skyloft_metrics::Table;
@@ -107,24 +107,24 @@ fn run_point(rate: f64, ctl_on: bool, smoke: bool) -> OverPoint {
     } else {
         OverloadControl::default()
     };
-    install_open_loop_ctl(&mut q, gen, 0, nic, end, None, ctl);
+    let tenant = Tenant {
+        gen,
+        app: 0,
+        class: None,
+    };
+    install_tenants(&mut q, vec![tenant], nic, end, None, ctl);
     m.run(&mut q, warmup);
     m.reset_stats(q.now());
     // Run far past `end` so every retry attempt resolves and the rings
     // drain before the ledger is read.
     m.run(&mut q, end + Nanos::from_ms(20));
-    // Conservation invariant #8 on every point: each generated datagram
-    // lands in exactly one terminal bucket.
+    // Conservation invariants #8 and #9 on every point: each generated
+    // datagram lands in exactly one terminal bucket, class by class.
     let s = &m.stats;
-    assert_eq!(
-        s.net_generated,
-        s.net_delivered
-            + s.rx_ring_drops
-            + s.aqm_drops
-            + s.admission_sheds
-            + s.net_in_flight
-            + s.retries_spent,
-        "datagram conservation violated at {rate} rps (ctl {ctl_on})"
+    assert!(
+        s.ledger_violations().is_empty(),
+        "ledger violated at {rate} rps (ctl {ctl_on}): {:?}",
+        s.ledger_violations()
     );
     assert_eq!(s.net_in_flight, 0, "rings not drained at {rate} rps");
     // Rate denominators use the generation window, not the drain tail.

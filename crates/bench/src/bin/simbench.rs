@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use skyloft_apps::harness::trace_arg;
 use skyloft_apps::schbench;
-use skyloft_apps::synthetic::{dispersive, dispersive_threshold, install_open_loop_net, Placement};
+use skyloft_apps::synthetic::{dispersive, dispersive_threshold, install_open_loop, Placement};
 use skyloft_bench::baseline::{best_of, Gate};
 use skyloft_bench::{build, out, scaled, setup::FIG7_QUANTUM, Flags};
 use skyloft_metrics::Table;
@@ -89,7 +89,7 @@ fn run_dispersive() -> Sample {
         m.tracer.set_active(false);
         let horizon = scaled(Nanos::from_ms(400));
         let gen = OpenLoop::new(120_000.0, dispersive(), dispersive_threshold(), 0x51);
-        install_open_loop_net(&mut q, gen, 0, Placement::Queue, horizon, None);
+        install_open_loop(&mut q, gen, 0, Placement::Queue, horizon);
         m.run(&mut q, horizon + Nanos::from_ms(20))
     })
 }

@@ -174,17 +174,14 @@ fn run_point(mult: f64, solo: bool, seed: u64, smoke: bool) -> SloPoint {
     // the ledger is read.
     m.run(&mut q, end + Nanos::from_ms(20));
     let s = &m.stats;
-    // Conservation on every point: global invariant #8 and the class
-    // tiling of invariant #9.
-    assert_eq!(
-        s.net_generated,
-        s.net_delivered + s.rx_ring_drops + s.aqm_drops + s.admission_sheds + s.retries_spent,
-        "datagram conservation violated at {mult}x (solo {solo})"
+    // Conservation on every point: invariants #8 and #9, globally and
+    // class by class.
+    assert!(
+        s.ledger_violations().is_empty(),
+        "ledger violated at {mult}x (solo {solo}): {:?}",
+        s.ledger_violations()
     );
     assert_eq!(s.net_in_flight, 0, "rings not drained at {mult}x");
-    assert_eq!(s.generated_by_class.iter().sum::<u64>(), s.net_generated);
-    assert_eq!(s.delivered_by_class.iter().sum::<u64>(), s.net_delivered);
-    assert_eq!(s.sheds_by_class.iter().sum::<u64>(), s.admission_sheds);
     let dt = (end - s.since).as_secs();
     let lost = |c: usize| {
         (s.sheds_by_class[c] - warm.2[c])

@@ -5,12 +5,20 @@
 
 use skyloft_apps::harness::{run_point, run_sweep_threaded, SweepSpec};
 use skyloft_apps::memcached::{usr_distribution, usr_threshold};
-use skyloft_apps::synthetic::{install_open_loop_net, Placement};
+use skyloft_apps::synthetic::{install_open_loop, Placement};
 use skyloft_bench::build;
-use skyloft_net::loadgen::{NetProfile, OpenLoop};
+use skyloft_net::dataplane::NicConfig;
+use skyloft_net::loadgen::OpenLoop;
 use skyloft_sim::Nanos;
 
 const WORKERS: usize = 4;
+
+/// The NIC plane with a 1 ms client timeout.
+fn rss() -> Placement {
+    let mut nic = NicConfig::for_workers(WORKERS);
+    nic.client_timeout = Nanos::from_ms(1);
+    Placement::Rss(nic)
+}
 
 fn spec(name: &str, rates: Vec<f64>, placement: Placement) -> SweepSpec {
     SweepSpec {
@@ -18,7 +26,6 @@ fn spec(name: &str, rates: Vec<f64>, placement: Placement) -> SweepSpec {
         placement,
         warmup: Nanos::from_ms(5),
         measure: Nanos::from_ms(40),
-        net: Some(NetProfile::lossy(0, 0.0, 0.0, Nanos::from_ms(1))),
         ..SweepSpec::new(name, rates, usr_distribution())
     }
 }
@@ -28,11 +35,7 @@ fn spec(name: &str, rates: Vec<f64>, placement: Placement) -> SweepSpec {
 /// seeded per point, never per thread.
 #[test]
 fn threaded_rss_sweep_is_bit_identical_to_serial() {
-    let s = spec(
-        "nic",
-        vec![400_000.0, 1_200_000.0, 2_400_000.0],
-        Placement::Rss { n: WORKERS },
-    );
+    let s = spec("nic", vec![400_000.0, 1_200_000.0, 2_400_000.0], rss());
     let build = &|| build::skyloft_ws(WORKERS, Some(Nanos::from_us(30)));
     let serial = run_sweep_threaded(&s, build, 1);
     let par = run_sweep_threaded(&s, build, 8);
@@ -49,26 +52,20 @@ fn conservation_holds_across_warmup_reset() {
         let gen = OpenLoop::new(rate, usr_distribution(), usr_threshold(), 0x9e37);
         let warmup = Nanos::from_ms(5);
         let end = warmup + Nanos::from_ms(40);
-        let net = NetProfile::lossy(0, 0.0, 0.0, Nanos::from_ms(1));
-        install_open_loop_net(
-            &mut q,
-            gen,
-            0,
-            Placement::Rss { n: WORKERS },
-            end,
-            Some(net),
-        );
+        install_open_loop(&mut q, gen, 0, rss(), end);
         m.run(&mut q, warmup);
         m.reset_stats(q.now());
         // Run past the arrival horizon until the queue drains, so every
         // packet has settled into delivered or dropped.
         m.run(&mut q, end + Nanos::from_ms(20));
         assert!(m.stats.net_generated > 0, "plane saw no traffic at {rate}");
-        assert_eq!(
-            m.stats.net_generated,
-            m.stats.net_delivered + m.stats.rx_ring_drops,
-            "conservation broken at {rate} rps"
+        assert!(
+            m.stats.ledger_violations().is_empty(),
+            "ledger broken at {rate} rps: {:?}",
+            m.stats.ledger_violations()
         );
+        let s = &m.stats;
+        assert_eq!(s.aqm_drops + s.admission_sheds + s.retries_spent, 0);
         assert_eq!(m.stats.net_in_flight, 0, "packets stranded at {rate} rps");
     }
 }
@@ -79,11 +76,9 @@ fn conservation_holds_across_warmup_reset() {
 #[test]
 fn rings_bound_the_overload_tail_where_direct_does_not() {
     let overload = 2_600_000.0; // ~1.3x the 4-worker USR capacity
-    let nic = run_point(
-        &spec("nic", vec![overload], Placement::Rss { n: WORKERS }),
-        overload,
-        &|| build::skyloft_ws(WORKERS, Some(Nanos::from_us(30))),
-    );
+    let nic = run_point(&spec("nic", vec![overload], rss()), overload, &|| {
+        build::skyloft_ws(WORKERS, Some(Nanos::from_us(30)))
+    });
     let direct = run_point(
         &spec(
             "direct",

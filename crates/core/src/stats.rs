@@ -284,6 +284,91 @@ impl Stats {
         self.since = now;
     }
 
+    /// Violations of the NIC data plane's conservation ledger (invariants
+    /// 7–9 of [`crate::trace::violations_of`]); empty when it balances.
+    ///
+    /// Every datagram that reached the NIC must sit in exactly one bucket
+    /// — delivered, ring tail-drop, AQM shed, admission shed, still in
+    /// flight, or a spent retry — globally and class by class, and each
+    /// `*_by_class` array must sum to its global counter. The counters
+    /// survive [`Stats::reset`], so the ledger holds across a warmup
+    /// boundary. Always compiled, unlike the per-event checker, so a
+    /// bench can check it at the end of a release run.
+    pub fn ledger_violations(&self) -> Vec<String> {
+        let s = self;
+        let mut v = Vec::new();
+
+        // 7 + 8. Datagram conservation through the NIC data plane, overload
+        // buckets included (all zero when overload control is off, so this is
+        // exactly check 7 on a stock machine).
+        let accounted = s.net_delivered
+            + s.rx_ring_drops
+            + s.aqm_drops
+            + s.admission_sheds
+            + s.net_in_flight
+            + s.retries_spent;
+        if s.net_generated != accounted {
+            v.push(format!(
+                "datagram conservation: generated {} != delivered {} + ring-dropped {} \
+                 + aqm-dropped {} + admission-shed {} + in-flight {} + retries-spent {}",
+                s.net_generated,
+                s.net_delivered,
+                s.rx_ring_drops,
+                s.aqm_drops,
+                s.admission_sheds,
+                s.net_in_flight,
+                s.retries_spent
+            ));
+        }
+
+        // 9. Per-class conservation: each class balances on its own, and the
+        // class arrays sum back to the globals. Every NIC-side increment site
+        // charges a class slot (class 0 when the workload is single-class), so
+        // this holds unconditionally — all-zero arrays on machines that never
+        // saw a datagram included.
+        for c in 0..MAX_CLASSES {
+            let accounted = s.delivered_by_class[c]
+                + s.rx_drops_by_class[c]
+                + s.aqm_drops_by_class[c]
+                + s.sheds_by_class[c]
+                + s.in_flight_by_class[c]
+                + s.retries_by_class[c];
+            if s.generated_by_class[c] != accounted {
+                v.push(format!(
+                    "class {c} conservation: generated {} != delivered {} + ring-dropped {} \
+                     + aqm-dropped {} + admission-shed {} + in-flight {} + retries-spent {}",
+                    s.generated_by_class[c],
+                    s.delivered_by_class[c],
+                    s.rx_drops_by_class[c],
+                    s.aqm_drops_by_class[c],
+                    s.sheds_by_class[c],
+                    s.in_flight_by_class[c],
+                    s.retries_by_class[c]
+                ));
+            }
+        }
+        let sums = [
+            ("generated", s.net_generated, s.generated_by_class),
+            ("delivered", s.net_delivered, s.delivered_by_class),
+            ("ring-dropped", s.rx_ring_drops, s.rx_drops_by_class),
+            ("aqm-dropped", s.aqm_drops, s.aqm_drops_by_class),
+            ("admission-shed", s.admission_sheds, s.sheds_by_class),
+            ("in-flight", s.net_in_flight, s.in_flight_by_class),
+            ("retries-spent", s.retries_spent, s.retries_by_class),
+            ("rq-shed", s.rq_sheds, s.rq_sheds_by_class),
+        ];
+        for (name, global, by_class) in sums {
+            let sum: u64 = by_class.iter().sum();
+            if sum != global {
+                v.push(format!(
+                    "per-class ledger: {name} classes sum to {sum}, global is {global}"
+                ));
+            }
+        }
+
+        v
+    }
+
     /// Achieved throughput in requests/second since the last reset.
     pub fn achieved_rps(&self, now: Nanos) -> f64 {
         let dt = (now - self.since).as_secs();
@@ -332,6 +417,36 @@ mod tests {
         let mut s = Stats::new();
         s.record_request(200, Nanos(10), Nanos(10));
         assert_eq!(s.resp_by_class[MAX_CLASSES - 1].count(), 1);
+    }
+
+    #[test]
+    fn ledger_violations_name_the_unbalanced_books() {
+        let mut s = Stats::new();
+        s.net_generated = 3;
+        s.generated_by_class[1] = 3;
+        s.net_delivered = 2;
+        s.delivered_by_class[1] = 2;
+        s.net_in_flight = 1;
+        s.in_flight_by_class[1] = 1;
+        assert!(s.ledger_violations().is_empty());
+        // A leak in one class also breaks the global ledger and the class
+        // tiling of the leaked bucket; each is reported.
+        s.in_flight_by_class[1] = 0;
+        s.net_in_flight = 0;
+        let v = s.ledger_violations();
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v[0].starts_with("datagram conservation"), "{v:?}");
+        assert!(v[1].starts_with("class 1 conservation"), "{v:?}");
+        s.net_in_flight = 1;
+        let v = s.ledger_violations();
+        assert_eq!(
+            v,
+            [
+                "class 1 conservation: generated 3 != delivered 2 + ring-dropped 0 \
+              + aqm-dropped 0 + admission-shed 0 + in-flight 0 + retries-spent 0",
+                "per-class ledger: in-flight classes sum to 0, global is 1"
+            ]
+        );
     }
 
     #[test]

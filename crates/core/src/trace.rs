@@ -643,74 +643,8 @@ pub fn violations_of(m: &Machine, now: Nanos) -> Vec<String> {
         }
     }
 
-    // 7 + 8. Datagram conservation through the NIC data plane, overload
-    // buckets included (all zero when overload control is off, so this is
-    // exactly check 7 on a stock machine).
-    let accounted = m.stats.net_delivered
-        + m.stats.rx_ring_drops
-        + m.stats.aqm_drops
-        + m.stats.admission_sheds
-        + m.stats.net_in_flight
-        + m.stats.retries_spent;
-    if m.stats.net_generated != accounted {
-        v.push(format!(
-            "datagram conservation: generated {} != delivered {} + ring-dropped {} \
-             + aqm-dropped {} + admission-shed {} + in-flight {} + retries-spent {}",
-            m.stats.net_generated,
-            m.stats.net_delivered,
-            m.stats.rx_ring_drops,
-            m.stats.aqm_drops,
-            m.stats.admission_sheds,
-            m.stats.net_in_flight,
-            m.stats.retries_spent
-        ));
-    }
-
-    // 9. Per-class conservation: each class balances on its own, and the
-    // class arrays sum back to the globals. Every NIC-side increment site
-    // charges a class slot (class 0 when the workload is single-class), so
-    // this holds unconditionally — all-zero arrays on machines that never
-    // saw a datagram included.
-    let s = &m.stats;
-    for c in 0..crate::stats::MAX_CLASSES {
-        let accounted = s.delivered_by_class[c]
-            + s.rx_drops_by_class[c]
-            + s.aqm_drops_by_class[c]
-            + s.sheds_by_class[c]
-            + s.in_flight_by_class[c]
-            + s.retries_by_class[c];
-        if s.generated_by_class[c] != accounted {
-            v.push(format!(
-                "class {c} conservation: generated {} != delivered {} + ring-dropped {} \
-                 + aqm-dropped {} + admission-shed {} + in-flight {} + retries-spent {}",
-                s.generated_by_class[c],
-                s.delivered_by_class[c],
-                s.rx_drops_by_class[c],
-                s.aqm_drops_by_class[c],
-                s.sheds_by_class[c],
-                s.in_flight_by_class[c],
-                s.retries_by_class[c]
-            ));
-        }
-    }
-    let sums = [
-        ("generated", s.net_generated, s.generated_by_class),
-        ("delivered", s.net_delivered, s.delivered_by_class),
-        ("ring-dropped", s.rx_ring_drops, s.rx_drops_by_class),
-        ("aqm-dropped", s.aqm_drops, s.aqm_drops_by_class),
-        ("admission-shed", s.admission_sheds, s.sheds_by_class),
-        ("in-flight", s.net_in_flight, s.in_flight_by_class),
-        ("retries-spent", s.retries_spent, s.retries_by_class),
-        ("rq-shed", s.rq_sheds, s.rq_sheds_by_class),
-    ];
-    for (name, global, by_class) in sums {
-        let sum: u64 = by_class.iter().sum();
-        if sum != global {
-            v.push(format!(
-                "per-class ledger: {name} classes sum to {sum}, global is {global}"
-            ));
-        }
-    }
+    // 7, 8, 9. The NIC data plane's conservation ledger.
+    v.extend(m.stats.ledger_violations());
 
     v
 }

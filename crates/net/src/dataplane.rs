@@ -54,9 +54,9 @@ pub struct NicConfig {
     /// in the ring (backpressure; without it overload would simply move
     /// the unbounded queue from the NIC into the scheduler).
     pub worker_depth: usize,
-    /// Client abandon timeout for a tail-dropped datagram when no
-    /// explicit [`crate::loadgen::NetProfile`] provides one: the request
-    /// enters the latency histograms at this value.
+    /// Client abandon timeout for a lost datagram (wire loss, ring
+    /// tail-drop, or shed) when no retry policy sets its own per-attempt
+    /// timeout: the request enters the latency histograms at this value.
     pub client_timeout: Nanos,
 }
 

@@ -35,9 +35,9 @@ pub mod ring;
 pub mod rss;
 
 pub use dataplane::{MultiQueueNic, NicConfig};
+pub use loadgen::OpenLoop;
 #[cfg(feature = "overload")]
 pub use loadgen::{Backoff, ClassRetryBudgets, RetryBudget, RetryPolicy};
-pub use loadgen::{NetProfile, OpenLoop};
 pub use nic::{LossModel, PacketFate};
 #[cfg(feature = "overload")]
 pub use overload::{AdmissionConfig, AdmissionCtl, Codel, CodelConfig};

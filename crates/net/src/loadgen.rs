@@ -9,33 +9,6 @@
 use skyloft_sim::rng::PoissonArrivals;
 use skyloft_sim::{Distribution, Nanos, Rng};
 
-use crate::nic::LossModel;
-
-/// Client-side network behavior for a load-generation run: what the wire
-/// does to request datagrams, and when the client gives up on a response.
-///
-/// Timed-out requests must be *recorded at the timeout value* in the
-/// latency histograms, not dropped from the denominator — forgetting them
-/// understates the tail exactly when the system is misbehaving.
-#[derive(Clone, Debug)]
-pub struct NetProfile {
-    /// Drop/duplication model applied per request.
-    pub loss: LossModel,
-    /// Client retransmission/abandon timeout: a dropped request surfaces
-    /// as a response-time sample of exactly this value.
-    pub timeout: Nanos,
-}
-
-impl NetProfile {
-    /// A lossy profile with the given seed, probabilities and timeout.
-    pub fn lossy(seed: u64, drop_p: f64, dup_p: f64, timeout: Nanos) -> Self {
-        NetProfile {
-            loss: LossModel::new(seed, drop_p, dup_p),
-            timeout,
-        }
-    }
-}
-
 /// A generated request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GenRequest {

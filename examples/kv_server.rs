@@ -17,6 +17,7 @@ use skyloft::Platform;
 use skyloft_apps::rocksdb::{bimodal_distribution, bimodal_threshold, SortedStore};
 use skyloft_apps::synthetic::{install_open_loop, Placement};
 use skyloft_hw::Topology;
+use skyloft_net::dataplane::NicConfig;
 use skyloft_net::loadgen::OpenLoop;
 use skyloft_net::packet::{KvOp, KvRequest};
 use skyloft_policies::WorkStealing;
@@ -43,7 +44,7 @@ fn run(quantum: Option<Nanos>) -> (f64, f64) {
         &mut q,
         gen,
         0,
-        Placement::Rss { n: WORKERS },
+        Placement::Rss(NicConfig::for_workers(WORKERS)),
         Nanos::from_secs(1),
     );
     m.run(&mut q, Nanos::from_secs(1) + Nanos::from_ms(50));

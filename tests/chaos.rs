@@ -249,8 +249,8 @@ fn recovered_p99_stays_within_2x_of_fault_free() {
 mod dataplane_plans {
     use super::*;
     use proptest::prelude::*;
-    use skyloft_apps::synthetic::{install_open_loop_ctl, OverloadControl};
-    use skyloft_net::{NetProfile, NicConfig};
+    use skyloft_apps::synthetic::{install_tenants, OverloadControl, Tenant};
+    use skyloft_net::{LossModel, NicConfig};
 
     proptest! {
         /// Conservation invariant #8 (DESIGN.md §13): every datagram the
@@ -286,11 +286,10 @@ mod dataplane_plans {
                 dispersive_threshold(),
                 seed ^ 0x5EED,
             );
-            let net = (wire_loss_bp > 0).then(|| NetProfile::lossy(
+            let net = (wire_loss_bp > 0).then(|| LossModel::new(
                 seed ^ 9,
                 wire_loss_bp as f64 / 10_000.0,
                 0.0,
-                Nanos::from_ms(1),
             ));
             let ctl = if full_ctl {
                 OverloadControl::full()
@@ -299,21 +298,18 @@ mod dataplane_plans {
             };
             let mut nic = NicConfig::for_workers(3);
             nic.client_timeout = Nanos::from_ms(1);
-            install_open_loop_ctl(&mut q, gen, 0, nic, Nanos::from_ms(4), net, ctl);
+            let tenant = Tenant { gen, app: 0, class: None };
+            install_tenants(&mut q, vec![tenant], nic, Nanos::from_ms(4), net, ctl);
             // Run far past the last timeout + backoff so every attempt
             // resolves: the ledger must balance with nothing in flight.
             m.run(&mut q, Nanos::from_ms(40));
             let s = &m.stats;
             prop_assert!(s.net_generated > 0, "generator never offered load");
             prop_assert_eq!(s.net_in_flight, 0, "datagrams still in flight after drain");
-            prop_assert_eq!(
-                s.net_generated,
-                s.net_delivered + s.rx_ring_drops + s.aqm_drops
-                    + s.admission_sheds + s.retries_spent,
-                "ledger out of balance: generated {} != delivered {} + ring drops {} \
-                 + aqm drops {} + admission sheds {} + retries {}",
-                s.net_generated, s.net_delivered, s.rx_ring_drops,
-                s.aqm_drops, s.admission_sheds, s.retries_spent
+            prop_assert!(
+                s.ledger_violations().is_empty(),
+                "ledger out of balance: {:?}",
+                s.ledger_violations()
             );
             prop_assert!(m.tracer.checker.violations().is_empty());
         }
@@ -338,7 +334,6 @@ mod dataplane_plans {
             batch_krps in 10u64..120,
             with_retry in prop::bool::ANY,
         ) {
-            use skyloft_apps::synthetic::{install_tenants, Tenant};
             use skyloft_net::{AdmissionConfig, CodelConfig, RetryPolicy};
 
             let mut plan = FaultPlan::seeded(seed)
@@ -368,11 +363,10 @@ mod dataplane_plans {
                 app: 1,
                 class: Some(1),
             };
-            let net = (wire_loss_bp > 0).then(|| NetProfile::lossy(
+            let net = (wire_loss_bp > 0).then(|| LossModel::new(
                 seed ^ 9,
                 wire_loss_bp as f64 / 10_000.0,
                 0.0,
-                Nanos::from_ms(1),
             ));
             let mut adm = AdmissionConfig::default();
             adm.class_slo[0] = Some(Nanos::from_us(200));
@@ -396,27 +390,15 @@ mod dataplane_plans {
             prop_assert!(s.net_generated > 0, "generators never offered load");
             prop_assert_eq!(s.net_in_flight, 0, "datagrams still in flight after drain");
             prop_assert!(s.in_flight_by_class.iter().all(|&c| c == 0));
-            // The class arrays tile the global counters exactly.
-            prop_assert_eq!(s.generated_by_class.iter().sum::<u64>(), s.net_generated);
-            prop_assert_eq!(s.delivered_by_class.iter().sum::<u64>(), s.net_delivered);
-            prop_assert_eq!(s.rx_drops_by_class.iter().sum::<u64>(), s.rx_ring_drops);
-            prop_assert_eq!(s.aqm_drops_by_class.iter().sum::<u64>(), s.aqm_drops);
-            prop_assert_eq!(s.sheds_by_class.iter().sum::<u64>(), s.admission_sheds);
-            prop_assert_eq!(s.retries_by_class.iter().sum::<u64>(), s.retries_spent);
-            // And each class's ledger balances independently: per-class
+            // The class arrays tile the global counters exactly, and each
+            // class's ledger balances independently: per-class
             // conservation is what proves one tenant's losses are never
             // laundered through another's counters.
-            for c in 0..s.generated_by_class.len() {
-                prop_assert_eq!(
-                    s.generated_by_class[c],
-                    s.delivered_by_class[c] + s.rx_drops_by_class[c]
-                        + s.aqm_drops_by_class[c] + s.sheds_by_class[c]
-                        + s.retries_by_class[c],
-                    "class {} ledger out of balance: {:?}",
-                    c,
-                    s
-                );
-            }
+            prop_assert!(
+                s.ledger_violations().is_empty(),
+                "class ledger out of balance: {:?}",
+                s.ledger_violations()
+            );
             prop_assert!(m.tracer.checker.violations().is_empty());
         }
     }

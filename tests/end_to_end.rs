@@ -271,7 +271,7 @@ fn shenango_hol_blocks_bimodal_skyloft_does_not() {
     };
     let mut sp = SweepSpec {
         class_threshold: Nanos::from_us(10),
-        placement: Placement::Rss { n: 4 },
+        placement: Placement::Rss(skyloft_net::NicConfig::for_workers(4)),
         warmup: Nanos::from_ms(20),
         measure: Nanos::from_ms(150),
         ..SweepSpec::new("t", vec![10_000.0], bimodal)
