@@ -2,7 +2,8 @@
 //! and pick throughput at task populations {16, 256, 4096, 65536}, for
 //! the optimized implementations *and* the frozen pre-optimization
 //! oracles in `skyloft_policies::reference` (DESIGN.md §14), plus an
-//! end-to-end high-population machine sweep on EEVDF.
+//! end-to-end high-population machine sweep on EEVDF and the event
+//! queue's timing wheel against the binary heap it replaced.
 //!
 //! Results go to `results/polbench.csv`; `--write` records them into the
 //! repo-root `BENCH_policy.json` (one section per policy, spliced with
@@ -13,7 +14,10 @@
 //! regression against the stored baseline, and it fails outright if
 //! EEVDF's pick throughput at the 4096-task population is not at least
 //! 5x the oracle's — the headline claim of the incremental-accounting
-//! rework, re-proven on every run.
+//! rework, re-proven on every run — or if the timing wheel is not at
+//! least [`QUEUE_FLOOR`] times as fast as the `reference-queue` heap on
+//! one schedule/cancel/pop trace (both measured in this process, so the
+//! ratio does not depend on the host's speed).
 
 use std::time::Instant;
 
@@ -26,13 +30,17 @@ use skyloft_bench::baseline::Gate;
 use skyloft_bench::{build, out, scaled, Flags};
 use skyloft_metrics::Table;
 use skyloft_policies::{cfs, eevdf, reference, rr, shinjuku, shinjuku_shenango, work_stealing};
-use skyloft_sim::Nanos;
+use skyloft_sim::reference::{RefToken, ReferenceQueue};
+use skyloft_sim::{EventQueue, Nanos, Rng, Token};
 
 const POPULATIONS: [usize; 4] = [16, 256, 4096, 65536];
 const WORKER_CORES: usize = 4;
 /// The population the CI gate and the baseline floor key on.
 const GATE_POP: usize = 4096;
 const GATE_SPEEDUP: f64 = 5.0;
+/// The least wheel-over-heap speedup `--check` accepts: below the
+/// 2.37–2.99× of ten `SKYLOFT_FAST=10` runs on a 2-vCPU Xeon host.
+const QUEUE_FLOOR: f64 = 1.75;
 
 /// One policy variant under test.
 struct Contender {
@@ -235,6 +243,99 @@ fn run_end_to_end() -> f64 {
     events as f64 / t0.elapsed().as_secs_f64()
 }
 
+/// The operations the event-queue comparison drives, implemented by the
+/// timing wheel and by the reference heap.
+trait Timeline: Default {
+    type Token: Copy;
+    fn schedule(&mut self, at: Nanos, e: u64) -> Self::Token;
+    fn cancel(&mut self, t: Self::Token);
+    fn pop(&mut self) -> Option<(Nanos, u64)>;
+}
+
+impl Timeline for EventQueue<u64> {
+    type Token = Token;
+    fn schedule(&mut self, at: Nanos, e: u64) -> Token {
+        EventQueue::schedule(self, at, e)
+    }
+    fn cancel(&mut self, t: Token) {
+        EventQueue::cancel(self, t);
+    }
+    fn pop(&mut self) -> Option<(Nanos, u64)> {
+        EventQueue::pop(self)
+    }
+}
+
+impl Timeline for ReferenceQueue<u64> {
+    type Token = RefToken;
+    fn schedule(&mut self, at: Nanos, e: u64) -> RefToken {
+        ReferenceQueue::schedule(self, at, e)
+    }
+    fn cancel(&mut self, t: RefToken) {
+        ReferenceQueue::cancel(self, t);
+    }
+    fn pop(&mut self) -> Option<(Nanos, u64)> {
+        ReferenceQueue::pop(self)
+    }
+}
+
+/// Events the trace keeps pending: a busy machine's timers, segment
+/// completions and arrivals.
+const QUEUE_LIVE: usize = 1024;
+
+/// A delay shaped like the simulator's: mostly ticks, IPIs and short
+/// segments (µs), some long segments (≤ 1 ms), a few timeouts (≤ 20 ms).
+fn delay(rng: &mut Rng) -> Nanos {
+    Nanos(match rng.next_below(100) {
+        0..70 => 1 + rng.next_below(20_000),
+        70..95 => 20_000 + rng.next_below(980_000),
+        _ => 1_000_000 + rng.next_below(19_000_000),
+    })
+}
+
+/// Replays one fixed trace on a fresh `Q`: [`QUEUE_LIVE`] events pending,
+/// then `steps` times pop the next event and schedule a successor, and
+/// every fourth step also cancel one of the last 64 scheduled events
+/// (fired or not) and schedule a replacement. Returns a digest of the
+/// popped `(time, payload)` stream and the wall time in seconds.
+fn replay<Q: Timeline>(steps: usize) -> (u64, f64) {
+    let mut q = Q::default();
+    let mut rng = Rng::seed_from_u64(0xE7E7);
+    let mut recent = [None; 64];
+    let t0 = Instant::now();
+    for i in 0..QUEUE_LIVE {
+        recent[i % 64] = Some(q.schedule(delay(&mut rng), i as u64));
+    }
+    let mut digest = 0u64;
+    for i in 0..steps {
+        let (at, e) = q.pop().expect("the trace keeps events pending");
+        digest = digest.rotate_left(5) ^ at.0 ^ e;
+        let next = QUEUE_LIVE + i;
+        recent[next % 64] = Some(q.schedule(at + delay(&mut rng), next as u64));
+        if i % 4 == 0 {
+            let victim = recent[rng.next_below(64) as usize];
+            q.cancel(victim.expect("filled before the loop"));
+            q.schedule(at + delay(&mut rng), u64::MAX - i as u64);
+        }
+    }
+    (digest, t0.elapsed().as_secs_f64())
+}
+
+/// `(wheel ns/step, heap ns/step, identical pop streams)`: the best of
+/// five alternating replays each.
+fn bench_event_queue() -> (f64, f64, bool) {
+    let steps = 2_000_000 / skyloft_bench::fast_factor().unwrap_or(1) as usize;
+    let (mut wheel, mut heap, mut same) = (f64::MAX, f64::MAX, true);
+    for _ in 0..5 {
+        let (dw, tw) = replay::<EventQueue<u64>>(steps);
+        let (dh, th) = replay::<ReferenceQueue<u64>>(steps);
+        wheel = wheel.min(tw);
+        heap = heap.min(th);
+        same &= dw == dh;
+    }
+    let per = 1e9 / steps as f64;
+    (wheel * per, heap * per, same)
+}
+
 /// `(contender name, is_oracle, per-population samples)`.
 type ContenderResult = (&'static str, bool, Vec<(usize, PopSample)>);
 
@@ -286,8 +387,15 @@ fn main() {
     }
     eprintln!("polbench: measuring end-to-end high-population sweep...");
     let e2e_events_per_sec = run_end_to_end();
+    eprintln!("polbench: measuring the event queue...");
+    let (wheel_ns, heap_ns, same_stream) = bench_event_queue();
+    let queue_speedup = heap_ns / wheel_ns;
     out::emit("polbench", "Policy hot-path microbenchmark", &t);
     println!("end-to-end eevdf schbench events/sec: {e2e_events_per_sec:.0}");
+    println!(
+        "event queue ns/step: wheel {wheel_ns:.1}, reference heap {heap_ns:.1} \
+         ({queue_speedup:.2}x)"
+    );
 
     let gate_pick = |name: &str| -> f64 {
         results
@@ -309,12 +417,29 @@ fn main() {
             "    \"eevdf_schbench_events_per_sec\": {e2e_events_per_sec:.0},\n    \"eevdf_speedup_vs_oracle_{GATE_POP}\": {speedup:.1}"
         ),
     );
+    gate.upsert(
+        "event_queue",
+        format!(
+            "    \"wheel_ns_per_step\": {wheel_ns:.1},\n    \"heap_ns_per_step\": {heap_ns:.1},\n    \"wheel_speedup_vs_heap\": {queue_speedup:.2}"
+        ),
+    );
 
     gate.require(
         speedup >= GATE_SPEEDUP,
         format_args!(
             "eevdf pick throughput at {GATE_POP} tasks is {speedup:.1}x the oracle \
              (need >= {GATE_SPEEDUP:.0}x)"
+        ),
+    );
+    gate.require(
+        same_stream,
+        "the timing wheel pops the reference heap's event stream",
+    );
+    gate.require(
+        queue_speedup >= QUEUE_FLOOR,
+        format_args!(
+            "timing wheel is {queue_speedup:.2}x the reference heap per step \
+             (need >= {QUEUE_FLOOR:.2}x)"
         ),
     );
     let key = format!("picks_per_sec_{GATE_POP}");

@@ -1759,18 +1759,16 @@ impl Machine {
                 }
             }
         }
-        #[cfg(debug_assertions)]
-        {
-            let oracle: Vec<CoreId> = self
-                .worker_cores
-                .iter()
+        // Compared without collecting, so debug builds allocate no more
+        // than release ones.
+        debug_assert!(
+            idle.iter()
                 .copied()
-                .filter(|&c| {
+                .eq(self.worker_cores.iter().copied().filter(|&c| {
                     self.cores[c].is_idle() && !self.cores[c].granted_to_be && self.core_usable(c)
-                })
-                .collect();
-            debug_assert_eq!(idle, oracle, "idle-core bitmask out of sync");
-        }
+                })),
+            "idle-core bitmask out of sync"
+        );
         if idle.is_empty() {
             self.idle_scratch = idle;
             // An empty usable-idle set is still a completed (vacuous)

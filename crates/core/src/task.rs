@@ -21,6 +21,14 @@ pub struct TaskId {
     pub(crate) generation: u32,
 }
 
+impl TaskId {
+    /// The handle as one integer (slot index, then generation), e.g. to
+    /// derive a deterministic hash from it.
+    pub fn to_bits(self) -> u64 {
+        (u64::from(self.idx) << 32) | u64::from(self.generation)
+    }
+}
+
 impl std::fmt::Debug for TaskId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "T{}v{}", self.idx, self.generation)

@@ -7,13 +7,15 @@
 //! RR on schbench wakeup latency, §5.1), and wakeup preemption gated by a
 //! wakeup granularity.
 //!
-//! Runqueues live in a dense array indexed through [`CoreMap`] (sparse
-//! core lists don't allocate dead queues) and the total queued count is
-//! a cached counter, so `queue_len` — called on every core-allocation
-//! probe — is O(1) instead of O(#cores). Decisions are bit-identical to
-//! [`crate::reference::Cfs`].
-
-use std::collections::BTreeSet;
+//! Each runqueue is an [`RqTree`] keyed by `(vruntime, id)`: pick takes
+//! the cached leftmost node, balance steals the rightmost, insert and
+//! remove are O(log n) expected, and a warm queue allocates nothing. The
+//! tree's subtree-minimum augmentation is EEVDF's; CFS values every node
+//! 0, so the minima never change and no update walks up. Runqueues live in a dense array indexed through
+//! [`CoreMap`] (sparse core lists don't allocate dead queues) and the
+//! total queued count is a cached counter, so `queue_len` — called on
+//! every core-allocation probe — is O(1) instead of O(#cores). Decisions
+//! are bit-identical to [`crate::reference::Cfs`].
 
 use skyloft::ops::{CoreId, EnqueueFlags, Policy, PolicyKind, SchedEnv};
 use skyloft::task::{TaskId, TaskTable};
@@ -21,13 +23,14 @@ use skyloft::SchedParams;
 use skyloft_sim::Nanos;
 
 use crate::coremap::CoreMap;
+use crate::rqtree::RqTree;
 
 /// Weight of a nice-0 task, as in Linux.
 pub const NICE0_WEIGHT: u64 = 1024;
 
 struct CfsRq {
     /// Tasks ordered by (vruntime, id).
-    tree: BTreeSet<(u64, TaskId)>,
+    tree: RqTree,
     /// Monotonic floor for new/woken tasks' vruntime.
     min_vruntime: u64,
 }
@@ -35,13 +38,17 @@ struct CfsRq {
 impl CfsRq {
     fn new() -> Self {
         CfsRq {
-            tree: BTreeSet::new(),
+            tree: RqTree::default(),
             min_vruntime: 0,
         }
     }
 
     fn leftmost(&self) -> Option<(u64, TaskId)> {
-        self.tree.first().copied()
+        self.tree.first().map(|n| self.tree.key(n))
+    }
+
+    fn insert(&mut self, vruntime: u64, t: TaskId) {
+        self.tree.insert((vruntime, t), 0);
     }
 }
 
@@ -143,16 +150,13 @@ impl Policy for Cfs {
                 // Keep accumulated vruntime: fairness across preemptions.
             }
         }
-        let key = (task.pd.vruntime, t);
-        self.rqs[rqi].tree.insert(key);
+        self.rqs[rqi].insert(task.pd.vruntime, t);
         self.queued_total += 1;
     }
 
     fn task_dequeue(&mut self, tasks: &mut TaskTable, cpu: CoreId, _now: Nanos) -> Option<TaskId> {
-        let rqi = self.map.rq(cpu);
-        let (vr, t) = self.rqs[rqi].leftmost()?;
-        let rq = &mut self.rqs[rqi];
-        rq.tree.remove(&(vr, t));
+        let rq = &mut self.rqs[self.map.rq(cpu)];
+        let (vr, t) = rq.tree.remove(rq.tree.first()?);
         rq.min_vruntime = rq.min_vruntime.max(vr);
         self.queued_total -= 1;
         let task = tasks.get_mut(t);
@@ -198,7 +202,7 @@ impl Policy for Cfs {
                 }
                 EnqueueFlags::Preempted | EnqueueFlags::Yield => {}
             }
-            rq.tree.insert((task.pd.vruntime, t));
+            rq.insert(task.pd.vruntime, t);
         }
         self.queued_total += batch.len();
     }
@@ -218,9 +222,10 @@ impl Policy for Cfs {
         let mut floor = rq.min_vruntime;
         let mut picked = 0;
         while picked < max {
-            let Some((vr, t)) = rq.tree.pop_first() else {
+            let Some(n) = rq.tree.first() else {
                 break;
             };
+            let (vr, t) = rq.tree.remove(n);
             floor = floor.max(vr);
             tasks.get_mut(t).pd.slice_used = Nanos::ZERO;
             out.push(t);
@@ -284,9 +289,8 @@ impl Policy for Cfs {
             .max_by_key(|&c| self.rqs[self.map.rq(c)].tree.len())?;
         // Steal the *last* (largest-vruntime) entity: it would have run
         // latest on its own queue, so migrating it costs the least locality.
-        let vi = self.map.rq(victim);
-        let (vr, t) = self.rqs[vi].tree.last().copied()?;
-        self.rqs[vi].tree.remove(&(vr, t));
+        let tree = &mut self.rqs[self.map.rq(victim)].tree;
+        let (_, t) = tree.remove(tree.last()?);
         self.queued_total -= 1;
         // Re-normalize to the thief's queue.
         let rq_min = self.rqs[self.map.rq(cpu)].min_vruntime;
@@ -302,7 +306,7 @@ impl Policy for Cfs {
         // by vruntime, so the oldest arrival requires a scan.
         self.rqs
             .iter()
-            .flat_map(|rq| rq.tree.iter().map(|&(_, t)| t))
+            .flat_map(|rq| rq.tree.tasks())
             .map(|t| tasks.get(t).runnable_since)
             .min()
             .map(|since| now.saturating_sub(since))

@@ -24,20 +24,23 @@
 //!   direct `⌊Σ vᵢwᵢ / Σ wᵢ⌋` because `min_vruntime·avg_load` is a
 //!   multiple of the divisor. Eligibility needs no division at all:
 //!   `v ≤ V ⟺ (v − min_vruntime)·avg_load ≤ avg_vruntime`.
-//! * Picks walk a `BTreeSet<(deadline, TaskId)>` in ascending order and
-//!   take the first eligible entry — by construction the minimum
-//!   `(vd, id)` pair among eligible tasks, the reference scan's exact
-//!   result including the `TaskId` tie-break.
-//! * Dequeue of a specific task is O(log n): the task's `pd.rq_slot`
-//!   indexes a tombstoned insertion-order vector (preserving the
-//!   "balance steals the newest arrival" semantics) and the deadline key
-//!   removes it from the tree.
+//! * Queued tasks sit in an [`RqTree`] keyed by `(deadline, id)` whose
+//!   nodes carry the vruntime each task was queued with and the minimum
+//!   of it over their subtree. Eligibility is monotone in vruntime, so
+//!   one descent finds the minimum `(vd, id)` pair among eligible tasks
+//!   — the reference scan's exact result, including the `TaskId`
+//!   tie-break — visiting one node per level: O(log n) expected,
+//!   whatever deadlines and vruntimes are queued, and no allocation.
+//!   The earliest deadline is checked first in O(1): it is usually
+//!   eligible.
+//! * A task's `pd.rq_slot` is its node index, stable while others come
+//!   and go, so dequeuing a specific task is O(log n) expected. The
+//!   tree's arrival list gives `sched_balance` the newest arrival in
+//!   O(1).
 //!
 //! Decisions are bit-identical to [`crate::reference::Eevdf`]; the
 //! differential proptests in `tests/differential.rs` hold the two to
 //! pick-for-pick equality.
-
-use std::collections::BTreeSet;
 
 use skyloft::ops::{CoreId, EnqueueFlags, Policy, PolicyKind, SchedEnv};
 use skyloft::task::{PolicyData, TaskId, TaskTable};
@@ -46,17 +49,12 @@ use skyloft_sim::Nanos;
 
 use crate::cfs::NICE0_WEIGHT;
 use crate::coremap::CoreMap;
+use crate::rqtree::RqTree;
 
 struct EevdfRq {
-    /// Queued tasks in arrival order, with tombstones for removed slots;
-    /// `pd.rq_slot` is a task's index here. Kept so `sched_balance` can
-    /// still steal the newest arrival in O(1).
-    order: Vec<Option<TaskId>>,
-    /// Number of live (non-tombstone) entries in `order`.
-    live: usize,
-    /// Queued tasks keyed by `(virtual deadline, id)`; ascending iteration
-    /// visits candidates in the pick's tie-break order.
-    by_deadline: BTreeSet<(u64, TaskId)>,
+    /// Queued tasks keyed by `(virtual deadline, id)`, each node valued
+    /// with the task's vruntime; `pd.rq_slot` is a task's node index.
+    tree: RqTree,
     /// Monotonic floor tracking the queue's virtual time; also the base
     /// the `avg_vruntime` accumulator is rebased on.
     min_vruntime: u64,
@@ -70,9 +68,7 @@ struct EevdfRq {
 impl EevdfRq {
     fn new() -> Self {
         EevdfRq {
-            order: Vec::new(),
-            live: 0,
-            by_deadline: BTreeSet::new(),
+            tree: RqTree::default(),
             min_vruntime: 0,
             avg_load: 0,
             avg_vruntime: 0,
@@ -81,7 +77,7 @@ impl EevdfRq {
 
     /// Weighted average virtual time `V`, from the accumulators.
     fn v(&self) -> Option<u64> {
-        if self.live == 0 {
+        if self.tree.is_empty() {
             return None;
         }
         if self.avg_load == 0 {
@@ -100,28 +96,25 @@ impl EevdfRq {
         (vruntime as i128 - self.min_vruntime as i128) * self.avg_load as i128 <= self.avg_vruntime
     }
 
-    /// Adds a task to every index and folds it into the accumulators.
+    /// Queues a task and folds it into the accumulators.
     fn attach(&mut self, t: TaskId, pd: &mut PolicyData) {
-        pd.rq_slot = self.order.len() as u32;
-        self.order.push(Some(t));
-        self.live += 1;
-        self.by_deadline.insert((pd.deadline, t));
+        pd.rq_slot = self.tree.insert((pd.deadline, t), pd.vruntime);
         self.avg_vruntime += (pd.vruntime as i128 - self.min_vruntime as i128) * pd.weight as i128;
         self.avg_load += pd.weight as u64;
     }
 
-    /// Removes a task from every index and subtracts it from the
-    /// accumulators. `pd` must be the exact values it was attached with.
+    /// Dequeues a task and subtracts it from the accumulators. `pd` must
+    /// be the exact values it was attached with: the tree's key and
+    /// subtree minima, and the accumulators, were built from them.
     fn detach(&mut self, t: TaskId, pd: &PolicyData) {
-        debug_assert_eq!(self.order[pd.rq_slot as usize], Some(t));
-        self.order[pd.rq_slot as usize] = None;
-        self.live -= 1;
-        self.by_deadline.remove(&(pd.deadline, t));
+        debug_assert_eq!(
+            (self.tree.key(pd.rq_slot), self.tree.val(pd.rq_slot)),
+            ((pd.deadline, t), pd.vruntime),
+            "queued task's deadline or vruntime changed while queued"
+        );
+        self.tree.remove(pd.rq_slot);
         self.avg_vruntime -= (pd.vruntime as i128 - self.min_vruntime as i128) * pd.weight as i128;
         self.avg_load -= pd.weight as u64;
-        while matches!(self.order.last(), Some(None)) {
-            self.order.pop();
-        }
     }
 
     /// Raises the floor to `candidate` (if higher) and rebases the
@@ -134,12 +127,20 @@ impl EevdfRq {
         }
     }
 
-    /// The most recently enqueued live task (balance's steal victim).
-    fn newest(&mut self) -> Option<TaskId> {
-        while matches!(self.order.last(), Some(None)) {
-            self.order.pop();
-        }
-        self.order.last().copied().flatten()
+    /// The most recently enqueued task (balance's steal victim).
+    fn newest(&self) -> Option<TaskId> {
+        self.tree.newest().map(|n| self.tree.key(n).1)
+    }
+
+    /// EEVDF pick: the earliest virtual deadline among eligible tasks.
+    fn pick(&self) -> Option<TaskId> {
+        let n = self.tree.first_where(|v| self.eligible(v));
+        // The weighted average guarantees at least one eligible task.
+        debug_assert!(
+            n.is_some() || self.tree.is_empty(),
+            "no eligible task despite non-empty queue"
+        );
+        n.map(|n| self.tree.key(n).1)
     }
 }
 
@@ -175,37 +176,9 @@ impl Eevdf {
         vruntime + self.params.min_granularity.0 * NICE0_WEIGHT / weight.max(1) as u64
     }
 
-    /// EEVDF pick: earliest virtual deadline among eligible tasks —
-    /// first eligible entry in `(vd, id)` order.
-    fn pick(&self, tasks: &TaskTable, cpu: CoreId) -> Option<TaskId> {
-        let rq = &self.rqs[self.map.rq(cpu)];
-        for &(_, t) in &rq.by_deadline {
-            if rq.eligible(tasks.get(t).pd.vruntime) {
-                return Some(t);
-            }
-        }
-        // The weighted average guarantees at least one eligible task.
-        debug_assert!(rq.live == 0, "no eligible task despite non-empty queue");
-        None
-    }
-
-    /// Compacts a runqueue's order vector once tombstones dominate,
-    /// reassigning the surviving tasks' `rq_slot` indices.
-    fn maybe_compact(&mut self, rqi: usize, tasks: &mut TaskTable) {
-        let rq = &mut self.rqs[rqi];
-        if rq.order.len() >= 8 && rq.live * 2 < rq.order.len() {
-            rq.order.retain(Option::is_some);
-            for (i, slot) in rq.order.iter().enumerate() {
-                if let Some(t) = slot {
-                    tasks.get_mut(*t).pd.rq_slot = i as u32;
-                }
-            }
-        }
-    }
-
     /// Total queued tasks across all cores.
     pub fn total_queued(&self) -> usize {
-        self.rqs.iter().map(|r| r.live).sum()
+        self.rqs.iter().map(|r| r.tree.len()).sum()
     }
 }
 
@@ -271,12 +244,11 @@ impl Policy for Eevdf {
     }
 
     fn task_dequeue(&mut self, tasks: &mut TaskTable, cpu: CoreId, _now: Nanos) -> Option<TaskId> {
-        let t = self.pick(tasks, cpu)?;
         let rqi = self.map.rq(cpu);
+        let t = self.rqs[rqi].pick()?;
         let pd = tasks.get(t).pd;
         self.rqs[rqi].detach(t, &pd);
         self.rqs[rqi].update_min(pd.vruntime);
-        self.maybe_compact(rqi, tasks);
         tasks.get_mut(t).pd.slice_used = Nanos::ZERO;
         Some(t)
     }
@@ -312,9 +284,8 @@ impl Policy for Eevdf {
         let min = rq.min_vruntime;
         let mut load = rq.avg_load;
         let mut avg = rq.avg_vruntime;
-        let mut live = rq.live;
         for &(t, _, flags) in batch {
-            let v = if live == 0 {
+            let v = if rq.tree.is_empty() {
                 min
             } else if load == 0 {
                 0
@@ -334,14 +305,10 @@ impl Policy for Eevdf {
             }
             task.pd.deadline =
                 task.pd.vruntime + base_slice * NICE0_WEIGHT / task.pd.weight.max(1) as u64;
-            task.pd.rq_slot = rq.order.len() as u32;
-            rq.order.push(Some(t));
-            live += 1;
-            rq.by_deadline.insert((task.pd.deadline, t));
+            task.pd.rq_slot = rq.tree.insert((task.pd.deadline, t), task.pd.vruntime);
             avg += (task.pd.vruntime as i128 - min as i128) * task.pd.weight as i128;
             load += task.pd.weight as u64;
         }
-        rq.live = live;
         rq.avg_load = load;
         rq.avg_vruntime = avg;
     }
@@ -357,26 +324,20 @@ impl Policy for Eevdf {
         // The serial dequeue rebases `min_vruntime` after every pick; the
         // eligibility test and V are exactly invariant under that rebase
         // (both sides shift by Δ·load), so one rebase to the max picked
-        // vruntime after the batch yields the identical pick sequence —
-        // and one tombstone-compaction check instead of `max`.
-        let rqi = self.map.rq(cpu);
-        let mut floor = self.rqs[rqi].min_vruntime;
-        let mut picked = 0;
-        while picked < max {
-            let Some(t) = self.pick(tasks, cpu) else {
+        // vruntime after the batch yields the identical pick sequence.
+        let rq = &mut self.rqs[self.map.rq(cpu)];
+        let mut floor = rq.min_vruntime;
+        for _ in 0..max {
+            let Some(t) = rq.pick() else {
                 break;
             };
             let pd = tasks.get(t).pd;
-            self.rqs[rqi].detach(t, &pd);
+            rq.detach(t, &pd);
             floor = floor.max(pd.vruntime);
             tasks.get_mut(t).pd.slice_used = Nanos::ZERO;
             out.push(t);
-            picked += 1;
         }
-        if picked > 0 {
-            self.rqs[rqi].update_min(floor);
-            self.maybe_compact(rqi, tasks);
-        }
+        rq.update_min(floor);
     }
 
     fn task_block(&mut self, tasks: &mut TaskTable, t: TaskId, cpu: CoreId, _now: Nanos) {
@@ -405,7 +366,7 @@ impl Policy for Eevdf {
         // Once the current request (base slice) is fulfilled, the task
         // would issue a new request with a later deadline; if any waiter is
         // queued, the eligible-earliest-deadline pick goes to the queue.
-        slice_done && self.rqs[self.map.rq(cpu)].live > 0
+        slice_done && !self.rqs[self.map.rq(cpu)].tree.is_empty()
     }
 
     fn check_wakeup_preempt(
@@ -431,12 +392,11 @@ impl Policy for Eevdf {
             .iter()
             .copied()
             .filter(|&c| c != cpu)
-            .max_by_key(|&c| self.rqs[self.map.rq(c)].live)?;
+            .max_by_key(|&c| self.rqs[self.map.rq(c)].tree.len())?;
         let vi = self.map.rq(victim);
         let t = self.rqs[vi].newest()?;
         let pd = tasks.get(t).pd;
         self.rqs[vi].detach(t, &pd);
-        self.maybe_compact(vi, tasks);
         let rq_min = self.rqs[self.map.rq(cpu)].min_vruntime;
         let task = tasks.get_mut(t);
         task.pd.vruntime = task.pd.vruntime.max(rq_min);
@@ -447,11 +407,11 @@ impl Policy for Eevdf {
 
     fn queue_delay(&self, tasks: &TaskTable, now: Nanos) -> Option<Nanos> {
         // Contract (`Policy::queue_delay`): sojourn of the oldest waiting
-        // task across all runqueues, by `runnable_since`. The deadline tree
-        // orders by virtual deadline, so the oldest arrival needs a scan.
+        // task across all runqueues, by `runnable_since`, which nothing
+        // here orders by, so it takes a scan.
         self.rqs
             .iter()
-            .flat_map(|rq| rq.by_deadline.iter().map(|&(_, t)| t))
+            .flat_map(|rq| rq.tree.tasks())
             .map(|t| tasks.get(t).runnable_since)
             .min()
             .map(|since| now.saturating_sub(since))
@@ -647,11 +607,55 @@ mod tests {
     }
 
     #[test]
-    fn slot_compaction_keeps_picks_and_balance_consistent() {
+    fn adversarial_pick_visits_logarithmically_many_nodes() {
+        // Half the queue is ineligible with the earliest deadlines: heavy
+        // tasks ahead of V (a huge weight puts the deadline 12 ns past the
+        // vruntime) and light ones behind it. A walk in deadline order
+        // would pass all 32 768 heavy tasks before the first eligible one.
+        const N: usize = 65_536;
+        let (mut p, mut tasks) = setup(1);
+        let mut lights = Vec::new();
+        for i in 0..N {
+            let t = mk(&mut p, &mut tasks);
+            let pd = &mut tasks.get_mut(t).pd;
+            if i % 2 == 0 {
+                pd.vruntime = 100_000;
+                pd.weight = 1 << 20;
+            } else {
+                pd.vruntime = 90_000 + (i as u64 / 2) % 1000;
+                lights.push(t);
+            }
+            p.task_enqueue(&mut tasks, t, Some(0), EnqueueFlags::Preempted, Nanos::ZERO);
+        }
+        let v = p.avg_vruntime(&tasks, 0).unwrap();
+        assert!((90_999..100_000).contains(&v), "V = {v}");
+        let rq = &p.rqs[0];
+        let (hit, visits) = rq.tree.descend(|vr| rq.eligible(vr));
+        let bound = 2 * (N as f64).log2().ceil() as usize + 2;
+        assert!(visits <= bound, "{visits} visits, bound {bound}");
+        // The earliest light deadline (90 000 + 12 500) is shared by every
+        // 1000th light task; the id breaks the tie.
+        assert_eq!(hit.map(|n| rq.tree.key(n)), Some((102_500, lights[0])));
+        assert_eq!(p.task_dequeue(&mut tasks, 0, Nanos::ZERO), Some(lights[0]));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "changed while queued")]
+    fn a_queued_task_must_keep_its_vruntime() {
+        let (mut p, mut tasks) = setup(1);
+        let a = mk(&mut p, &mut tasks);
+        p.task_enqueue(&mut tasks, a, Some(0), EnqueueFlags::New, Nanos::ZERO);
+        tasks.get_mut(a).pd.vruntime += 1;
+        p.task_dequeue(&mut tasks, 0, Nanos::ZERO);
+    }
+
+    #[test]
+    fn node_reuse_keeps_picks_and_balance_consistent() {
         let (mut p, mut tasks) = setup(2);
-        // Interleave enough enqueue/dequeue churn on core 0 to trigger
-        // tombstone compaction, then verify structural integrity by
-        // draining everything in both directions.
+        // Interleave enqueue/dequeue churn on core 0 so tree nodes are
+        // freed and reused, then verify structural integrity by draining
+        // everything in both directions.
         let mut live = Vec::new();
         for round in 0..6u64 {
             for i in 0..4u64 {

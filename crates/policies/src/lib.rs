@@ -37,6 +37,7 @@ pub mod cfs;
 pub mod coremap;
 pub mod eevdf;
 pub mod reference;
+pub mod rqtree;
 pub mod rr;
 pub mod shinjuku;
 pub mod shinjuku_shenango;

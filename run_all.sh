@@ -15,10 +15,11 @@ done
 # for byte. Any drift means a change altered scheduling decisions (the
 # batched event/policy/NIC paths are required to be decision-identical
 # to their serial forms) — fail loudly instead of silently shipping new
-# numbers.
+# numbers. tab4_loc counts policy source lines instead: its drift means
+# a policy edit that did not regenerate it.
 status=0
 for f in fig5_schbench fig6_timeslice fig7a_single fig7a_tput slo_sweep \
-         chaos_sweep chaos_sweep_dataplane netbench; do
+         chaos_sweep chaos_sweep_dataplane netbench tab4_loc; do
   if git diff --quiet -- "results/$f.csv"; then
     echo "### golden $f.csv: identical"
   else

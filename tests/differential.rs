@@ -71,8 +71,16 @@ fn core_set(sel: u8) -> Vec<CoreId> {
 
 /// Drives one `(op, sel, amt)` trace through both policies, asserting
 /// decision equality after every step, then drains both to empty and
-/// asserts the drain sequences match pick for pick.
-fn run_trace(which: u8, cores_sel: u8, ops: Vec<(u8, usize, u64)>, seed_vruntime: Option<u64>) {
+/// asserts the drain sequences match pick for pick. With `prefill`, each
+/// core's runqueue first gets that many requeued tasks of mixed weights
+/// and clustered vruntimes, so the trace churns deep runqueues.
+fn run_trace(
+    which: u8,
+    cores_sel: u8,
+    ops: Vec<(u8, usize, u64)>,
+    seed_vruntime: Option<u64>,
+    prefill: Option<(usize, u64)>,
+) {
     let (mut opt, mut oracle) = pair(which);
     let cores = core_set(cores_sel);
     let env = SchedEnv {
@@ -88,6 +96,27 @@ fn run_trace(which: u8, cores_sel: u8, ops: Vec<(u8, usize, u64)>, seed_vruntime
     let mut running: HashMap<CoreId, (TaskId, Nanos)> = HashMap::new();
     let mut blocked: Vec<TaskId> = Vec::new();
     let mut now = Nanos::ZERO;
+    if let Some((per_core, mut seed)) = prefill {
+        for i in 0..per_core * cores.len() {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let a = ta.insert(|id| Task::bare(id, 0));
+            let b = tb.insert(|id| Task::bare(id, 0));
+            prop_assert_eq!(a, b, "mirrored tables diverged on insert");
+            opt.task_init(&mut ta, a, now);
+            oracle.task_init(&mut tb, b, now);
+            for pd in [&mut ta.get_mut(a).pd, &mut tb.get_mut(b).pd] {
+                pd.weight = WEIGHTS[(seed >> 60) as usize % WEIGHTS.len()];
+                // Within a few base slices of each other, so the earliest
+                // deadline is often ineligible and picks take the descent.
+                pd.vruntime = (seed >> 20) % 40_000;
+            }
+            let cpu = Some(cores[i % cores.len()]);
+            opt.task_enqueue(&mut ta, a, cpu, EnqueueFlags::Preempted, now);
+            oracle.task_enqueue(&mut tb, b, cpu, EnqueueFlags::Preempted, now);
+        }
+    }
     for (op, sel, amt) in ops {
         now += Nanos(1 + amt % 9_973);
         let cpu = cores[sel % cores.len()];
@@ -328,7 +357,7 @@ proptest! {
         cores_sel in 0u8..4,
         ops in prop::collection::vec((0u8..11, 0usize..64, 0u64..50_000), 1..300),
     ) {
-        run_trace(which, cores_sel, ops, None);
+        run_trace(which, cores_sel, ops, None, None);
     }
 
     /// EEVDF with vruntimes seeded near the `u64` limit: the rebased
@@ -343,7 +372,7 @@ proptest! {
         // the *accumulator* math (sum of v·w over a queue) would overflow
         // u64 arithmetic many times over without the min_vruntime rebase.
         let base = u64::MAX - Nanos::from_secs(40).0;
-        run_trace(0, cores_sel, ops, Some(base));
+        run_trace(0, cores_sel, ops, Some(base), None);
     }
 
     /// CFS across sparse core layouts with weight spread: the cached
@@ -353,6 +382,19 @@ proptest! {
         cores_sel in 2u8..4,
         ops in prop::collection::vec((0u8..11, 0usize..64, 0u64..50_000), 1..250),
     ) {
-        run_trace(1, cores_sel, ops, None);
+        run_trace(1, cores_sel, ops, None, None);
+    }
+
+    /// EEVDF and CFS on two cores whose runqueues start 1000 tasks deep,
+    /// then take thousands of mixed operations: tree splits and merges at
+    /// depth, node reuse and steals of the newest arrival, pick for pick
+    /// against the oracles.
+    #[test]
+    fn eevdf_and_cfs_match_reference_on_deep_runqueues(
+        which in 0u8..2,
+        seed in 0u64..u64::MAX,
+        ops in prop::collection::vec((0u8..11, 0usize..64, 0u64..50_000), 2000..3000),
+    ) {
+        run_trace(which, 1, ops, None, Some((1000, seed)));
     }
 }
